@@ -111,3 +111,6 @@ class _SubsetMetric(Metric):
 
     def _pairwise_kernel(self, I: np.ndarray, J: np.ndarray) -> np.ndarray:
         return self.inner._pairwise_kernel(self.ids[I], self.ids[J])
+
+    def _within_kernel(self, I: np.ndarray, J: np.ndarray, tau: float) -> np.ndarray:
+        return self.inner._within_kernel(self.ids[I], self.ids[J], tau)

@@ -196,14 +196,18 @@ def _degree_approx_body(
     # returns the vector *to the owner of v* (line 9 read communication-
     # optimally: only the owner needs d(v), so sending the partials to all
     # machines would waste an m-factor of bandwidth)
+    light_all = np.concatenate(light_by_machine)
+    light_ends = np.cumsum([L_o.size for L_o in light_by_machine])
+
     def _partials(mach):
         active = active_by_machine[mach.id]
+        # self-hits of every light vertex in one pass, not one per owner
+        self_hit = np.split(np.isin(light_all, active).astype(np.int64), light_ends[:-1])
         out = []
         for owner in range(m):
             L_o = light_by_machine[owner]
             if L_o.size and active.size:
-                cnt = mach.count_within(L_o, active, tau)
-                cnt -= np.isin(L_o, active).astype(np.int64)
+                cnt = mach.count_within(L_o, active, tau) - self_hit[owner]
             else:
                 cnt = np.zeros(L_o.size, dtype=np.int64)
             out.append(cnt)

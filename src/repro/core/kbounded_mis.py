@@ -386,7 +386,7 @@ def _mis_outer_round(
                     [v for v in all_sample if v not in removed], dtype=np.int64
                 )
                 if candidates.size:
-                    near = central.pairwise(candidates, M_j).min(axis=1) <= tau
+                    near = central.within(candidates, M_j, tau).any(axis=1)
                     for v in candidates[near]:
                         removed.add(int(v))
                 for v in M_j:
@@ -407,7 +407,7 @@ def _mis_outer_round(
             act = active[mach.id]
             if act.size == 0:
                 return act
-            near = mach.pairwise(act, new_mis).min(axis=1) <= tau
+            near = mach.within(act, new_mis, tau).any(axis=1)
             return act[~near & ~np.isin(act, new_mis)]
 
         active = cluster.map_machines(_prune)

@@ -24,8 +24,8 @@ class ThresholdGraphView:
     Parameters
     ----------
     oracle:
-        Object with ``pairwise`` / ``count_within`` (a Metric or a
-        Machine).
+        Object with ``pairwise`` / ``within`` / ``count_within`` (a
+        Metric or a Machine).
     vertices:
         Active vertex ids the view is induced on.
     tau:
@@ -59,7 +59,7 @@ class ThresholdGraphView:
 
     def neighbors(self, v: int) -> np.ndarray:
         """Active neighbors of ``v`` (excluding ``v`` itself)."""
-        mask = self.oracle.pairwise([v], self.vertices)[0] <= self.tau
+        mask = self.oracle.within([v], self.vertices, self.tau)[0]
         nbrs = self.vertices[mask]
         return nbrs[nbrs != v]
 
@@ -67,7 +67,7 @@ class ThresholdGraphView:
         """Boolean cross-adjacency (diagonal pairs ``i == j`` masked off)."""
         I = np.asarray(I, dtype=np.int64).reshape(-1)
         J = np.asarray(J, dtype=np.int64).reshape(-1)
-        adj = self.oracle.pairwise(I, J) <= self.tau
+        adj = self.oracle.within(I, J, self.tau)
         same = I[:, None] == J[None, :]
         adj[same] = False
         return adj

@@ -42,7 +42,7 @@ def trim(
     Parameters
     ----------
     oracle:
-        Object with ``pairwise(I, J)``.
+        Object with ``within(I, J, tau)``.
     S:
         Sampled vertex ids (duplicates are collapsed).
     tau:
@@ -93,7 +93,7 @@ def trim(
     step = max(1, _CHUNK // S.size)
     for lo in range(0, S.size, step):
         hi = min(S.size, lo + step)
-        adj = oracle.pairwise(S[lo:hi], S) <= tau
+        adj = oracle.within(S[lo:hi], S, tau)
         for r in range(lo, hi):
             adj[r - lo, r] = False  # no self-loop
         # v survives iff its key strictly exceeds every sampled neighbor's

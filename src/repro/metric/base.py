@@ -10,7 +10,14 @@ and inherit id-based helpers used throughout the algorithms:
   a target set (the ``d(p, T)`` of GMM);
 * :meth:`radius` — the paper's ``r(X, Y) = max_{x∈X} d(x, Y)``;
 * :meth:`diversity` — ``div(S)``, the minimum pairwise distance;
-* :meth:`within` — threshold-graph adjacency queries for ``G_τ``.
+* :meth:`within` — threshold-graph adjacency queries for ``G_τ``;
+* :meth:`count_within` — threshold-graph degree counts.
+
+The last two decide ``d(i, j) ≤ τ`` through a second hook,
+:meth:`_within_kernel`, which returns the boolean block.  Its default is
+``_pairwise_kernel(I, J) <= tau``; a subclass may override it with a
+faster exact test (``EuclideanMetric`` compares squared distances), as
+long as every cell comes out as the default would decide it.
 
 All helpers chunk their work so that no intermediate matrix exceeds
 ``chunk_budget`` entries, keeping the simulator usable at n ≈ 10⁵
@@ -57,6 +64,14 @@ class Metric(ABC):
         ``I`` and ``J`` are validated int64 id arrays.  Implementations
         must be pure (no caching of ids) and vectorized.
         """
+
+    def _within_kernel(self, I: np.ndarray, J: np.ndarray, tau: float) -> np.ndarray:
+        """Boolean block ``d(i, j) <= tau`` of shape ``(len(I), len(J))``.
+
+        One kernel call over the same ids as :meth:`_pairwise_kernel`;
+        an override must decide every cell exactly as this default does.
+        """
+        return self._pairwise_kernel(I, J) <= tau
 
     # -- words accounting -----------------------------------------------------
 
@@ -148,7 +163,11 @@ class Metric(ABC):
         Note the threshold graph includes self-loops here; callers that
         need simple-graph semantics mask the diagonal themselves.
         """
-        return self.pairwise(I, J) <= tau
+        I = self._check(_as_ids(I))
+        J = self._check(_as_ids(J))
+        if I.size == 0 or J.size == 0:
+            return np.zeros((I.size, J.size), dtype=bool)
+        return self._within_kernel(I, J, tau)
 
     def count_within(self, I: Iterable[int], J: Iterable[int], tau: float) -> np.ndarray:
         """For each ``i`` in ``I``: ``|{j in J : d(i,j) <= tau}|``.
@@ -166,7 +185,7 @@ class Metric(ABC):
         step = max(1, self.chunk_budget // max(1, J.size))
         for lo in range(0, I.size, step):
             hi = min(I.size, lo + step)
-            out[lo:hi] = (self._pairwise_kernel(I[lo:hi], J) <= tau).sum(axis=1)
+            out[lo:hi] = self._within_kernel(I[lo:hi], J, tau).sum(axis=1)
         return out
 
     def argmax_dist_to_set(self, I: Iterable[int], T: Iterable[int]) -> tuple[int, float]:

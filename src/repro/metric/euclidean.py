@@ -2,12 +2,53 @@
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
 
 import numpy as np
 
 from repro.metric.base import Metric
 from repro.metric.points import PointSet
+
+#: Entries per row block of the threshold test: the block's temporary
+#: stays in cache, and the per-block Python overhead stays small.
+_WITHIN_BLOCK = 1 << 16
+
+
+def _sq_threshold(tau: float) -> float:
+    """``t2(τ)``: the largest double whose rounded square root is ``<= tau``.
+
+    ``tau`` must be ``>= 0``.  Rounded ``sqrt`` is monotone, so for every
+    ``s >= 0``, ``sqrt(s) <= tau`` holds exactly when ``s <= t2``.  The
+    rounded square ``fl(tau²)`` can sit an ulp or two off ``t2`` and
+    would flip pairs at the boundary, so the loops step it into place.
+    """
+    if tau == math.inf:
+        return math.inf
+    t2 = tau * tau
+    while math.sqrt(t2) > tau:
+        t2 = math.nextafter(t2, -math.inf)
+    while math.sqrt(up := math.nextafter(t2, math.inf)) <= tau:
+        t2 = up
+    return t2
+
+
+def _same_id_cells(I: np.ndarray, J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of every cell with ``I[r] == J[c]``.
+
+    A sorted search of ``J``, so it costs ``O((|I| + |J|) log |J|)``
+    instead of an ``|I|×|J|`` comparison.  Repeated ids match every copy.
+    """
+    order = np.argsort(J)
+    J_sorted = J[order]
+    first = np.searchsorted(J_sorted, I, side="left")
+    count = np.searchsorted(J_sorted, I, side="right") - first
+    if not count.any():  # disjoint id sets, the common case
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    rows = np.repeat(np.arange(I.size), count)
+    # row r owns sorted positions first[r] .. first[r] + count[r] - 1
+    shift = np.repeat(first - np.cumsum(count) + count, count)
+    return rows, order[np.arange(rows.size) + shift]
 
 
 class EuclideanMetric(Metric):
@@ -35,4 +76,35 @@ class EuclideanMetric(Metric):
         # the expanded form leaves ~1e-8 residue on identical inputs;
         # same-id pairs are exactly zero by definition
         out[I[:, None] == J[None, :]] = 0.0
+        return out
+
+    def _within_kernel(self, I: np.ndarray, J: np.ndarray, tau: float) -> np.ndarray:
+        """``sqrt(max(s, 0)) <= tau`` decided as ``s <= t2(tau)``.
+
+        ``s`` is bit for bit the value :meth:`_pairwise_kernel` takes the
+        root of: the same matmul on the same operands, and
+        ``(|x|² + |y|²) − 2g`` in the same order.  A negative ``s``, which
+        ``_pairwise_kernel`` clamps to 0, is within any ``tau >= 0``, and
+        so is ``s <= t2``.  Same-id cells are distance 0 by definition, so
+        they are within ``tau >= 0``.
+        """
+        tau = float(tau)
+        if not tau >= 0.0:  # negative or NaN: no distance is within it
+            return np.zeros((I.size, J.size), dtype=bool)
+        t2 = _sq_threshold(tau)
+        G = self.points.data[I] @ self.points.data[J].T
+        a = self._sqnorms[I]
+        b = self._sqnorms[J]
+        out = np.empty(G.shape, dtype=bool)
+        rows = max(1, _WITHIN_BLOCK // max(1, J.size))
+        buf = np.empty((min(rows, I.size), J.size))
+        for lo in range(0, I.size, rows):
+            hi = min(I.size, lo + rows)
+            s = buf[: hi - lo]
+            g = G[lo:hi]
+            g *= 2.0
+            np.add(a[lo:hi, None], b[None, :], out=s)
+            s -= g
+            np.less_equal(s, t2, out=out[lo:hi])
+        out[_same_id_cells(I, J)] = True
         return out

@@ -43,6 +43,12 @@ class CountingOracle(Metric):
         self.evaluations += int(I.size) * int(J.size)
         return self.inner._pairwise_kernel(I, J)
 
+    def _within_kernel(self, I: np.ndarray, J: np.ndarray, tau: float) -> np.ndarray:
+        # charged exactly like the distance block it decides
+        self.calls += 1
+        self.evaluations += int(I.size) * int(J.size)
+        return self.inner._within_kernel(I, J, tau)
+
 
 class CachedOracle(Metric):
     """Memoizes scalar pair distances; matrix calls pass through.
@@ -77,3 +83,6 @@ class CachedOracle(Metric):
 
     def _pairwise_kernel(self, I: np.ndarray, J: np.ndarray) -> np.ndarray:
         return self.inner._pairwise_kernel(I, J)
+
+    def _within_kernel(self, I: np.ndarray, J: np.ndarray, tau: float) -> np.ndarray:
+        return self.inner._within_kernel(I, J, tau)

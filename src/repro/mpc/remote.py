@@ -427,6 +427,12 @@ class WorkerAgent:
         re-shipped its datasets, which is exactly the cache-miss path
         the driver recovers from."""
         self._stopped.set()
+        self._close_listener()
+        self._datasets.clear()
+
+    def _close_listener(self) -> None:
+        """Close the listening socket and join the accept thread
+        (idempotent); from here on the port refuses connections."""
         sock, self._sock = self._sock, None
         thread, self._accept_thread = self._accept_thread, None
         if sock is not None:
@@ -444,7 +450,6 @@ class WorkerAgent:
                 pass
         if thread is not None and thread is not threading.current_thread():
             thread.join(timeout=2.0)
-        self._datasets.clear()
 
     def _die(self) -> None:
         """Enact an injected kill: the whole agent goes away."""
@@ -513,6 +518,9 @@ class WorkerAgent:
         elif op == "run":
             self._handle_run(conn, request)
         elif op == "shutdown":
+            # refuse new connections before acknowledging, so a caller
+            # that got the reply never finds the port still open
+            self._close_listener()
             send_msg(conn, {"ok": True})
             self.stop()
         else:

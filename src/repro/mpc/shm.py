@@ -12,9 +12,11 @@ pickling them.
 Lifecycle: :func:`share_metric_points` rebinds the metric's
 :class:`~repro.metric.points.PointSet` buffer to a shared segment and
 returns a :class:`SharedArray` handle.  ``release()`` unlinks the
-segment name but keeps the local mapping alive, so the metric stays
-usable after the executor shuts down; the final ``close`` happens at
-interpreter exit.
+segment name but keeps the local mapping alive while any numpy view
+uses it, so the metric stays usable after the executor shuts down.
+Every bind and release closes the released mappings that no view uses
+any more, so a process that solves many times holds only the segments
+its live metrics still point at.
 """
 
 from __future__ import annotations
@@ -37,19 +39,38 @@ except ImportError:  # pragma: no cover
 MIN_SHARED_BYTES = 1 << 20
 
 _live: List["SharedArray"] = []
-#: released handles, kept referenced forever: SharedMemory.__del__ would
-#: close() the mapping on GC and pull the buffer out from under any
-#: numpy view still pointing at it (one handle per executor bind, so
-#: this stays tiny)
+#: released handles whose mapping a numpy view may still use; closed by
+#: :func:`_close_retired` once nothing views them
 _retired: List["SharedArray"] = []
+
+
+if shared_memory is not None:
+
+    class _Segment(shared_memory.SharedMemory):
+        """``SharedMemory`` whose finalizer tolerates live views.
+
+        At interpreter exit a metric may still view a released segment;
+        ``SharedMemory.__del__`` would report the ``BufferError`` that
+        ``close()`` raises then.  The mapping goes with its last view."""
+
+        def __del__(self) -> None:
+            try:
+                self.close()
+            except (BufferError, OSError):
+                pass
 
 
 class SharedArray:
     """A numpy array whose buffer lives in a shared-memory segment."""
 
     def __init__(self, source: np.ndarray) -> None:
-        self.shm = shared_memory.SharedMemory(create=True, size=source.nbytes)
-        view = np.ndarray(source.shape, dtype=source.dtype, buffer=self.shm.buf)
+        self.shm = _Segment(create=True, size=source.nbytes)
+        # frombuffer holds a buffer export on the mapping for as long as
+        # any view derived from the array lives, so shm.close() raises
+        # BufferError instead of unmapping memory under a live view
+        view = np.frombuffer(
+            self.shm.buf, dtype=source.dtype, count=source.size
+        ).reshape(source.shape)
         view[:] = source
         view.setflags(write=False)
         self.array = view
@@ -64,8 +85,9 @@ class SharedArray:
         """Unlink the segment name (idempotent).
 
         The local mapping stays valid — views handed out earlier keep
-        working — but no new process can attach, and the memory is
-        returned to the OS once the last mapping closes.
+        working — but no new process can attach.  The handle drops its
+        own view, and the mapping closes (returning the memory to the
+        OS) at the first bind or release after the last view is gone.
         """
         if not self._unlinked:
             self._unlinked = True
@@ -75,17 +97,27 @@ class SharedArray:
                 pass
             if self in _live:
                 _live.remove(self)
+            self.array = None
             _retired.append(self)
+        _close_retired()
 
-    def _close(self) -> None:
-        """Drop the mapping too — only safe when no view is in use."""
-        self.release()
+
+def _close_retired() -> None:
+    """Close every released mapping that no numpy view uses any more.
+
+    Safe to run from several threads (and from a finalizer inside a
+    sweep): taking a handle off ``_retired`` is the one atomic step that
+    lets a thread close it, and a handle still viewed goes back on.
+    """
+    for handle in list(_retired):
         try:
-            self.shm.close()
-        except (BufferError, OSError):  # pragma: no cover - views still alive
-            return
-        if self in _retired:
-            _retired.remove(self)
+            _retired.remove(handle)
+        except ValueError:  # another sweep holds it
+            continue
+        try:
+            handle.shm.close()
+        except BufferError:
+            _retired.append(handle)
 
 
 @atexit.register
@@ -112,6 +144,13 @@ def share_metric_points(metric, min_bytes: int = MIN_SHARED_BYTES) -> Optional[S
     The rebinding is transparent: the ``PointSet`` keeps its identity
     and read-only contract, only its buffer moves.
     """
+    handle = _migrate_points(metric, min_bytes)
+    # a metric bound again has just dropped its previous segment's view
+    _close_retired()
+    return handle
+
+
+def _migrate_points(metric, min_bytes: int) -> Optional[SharedArray]:
     if shared_memory is None:  # pragma: no cover
         return None
     for layer in _unwrap(metric):

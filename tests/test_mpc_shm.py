@@ -1,11 +1,17 @@
 """Shared-memory point-matrix backing (:mod:`repro.mpc.shm`)."""
 
+import gc
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+import repro
 from repro.metric.euclidean import EuclideanMetric
 from repro.metric.matrix_metric import MatrixMetric
 from repro.metric.oracle import CountingOracle
+from repro.mpc import shm
 from repro.mpc.cluster import MPCCluster
 from repro.mpc.executor import ProcessExecutor
 from repro.mpc.shm import SharedArray, share_metric_points
@@ -26,7 +32,7 @@ class TestSharedArray:
             with pytest.raises(ValueError):
                 handle.array[0, 0] = 99.0
         finally:
-            handle._close()
+            handle.release()
 
     def test_release_keeps_mapping_alive(self):
         handle = SharedArray(np.ones((8, 2)))
@@ -85,3 +91,99 @@ class TestExecutorIntegration:
         ex.shutdown()
         assert ex._shared == []
         assert metric.distance(0, 1) == d  # mapping still usable
+
+
+class TestConcurrentRelease:
+    def test_threads_lose_no_viewed_handle_and_close_the_rest(self):
+        # more threads than cores, switching often: a lost update to the
+        # retired list would drop a handle that a view still uses
+        kept, dropped, errors = [], [], []
+
+        def worker():
+            try:
+                for i in range(40):
+                    handle = SharedArray(np.full(64, float(i)))
+                    if i % 4 == 0:
+                        kept.append((handle, handle.array))
+                    else:
+                        dropped.append(handle)
+                    handle.release()
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(old)
+        assert errors == []
+        shm._close_retired()
+        assert not any(handle in shm._retired for handle in dropped)
+        assert all(handle in shm._retired for handle, _ in kept)
+        assert all(view[0] == view[-1] for _, view in kept)  # still readable
+        handles = [handle for handle, _ in kept]
+        kept.clear()  # drop the last views
+        shm._close_retired()
+        assert not any(handle in shm._retired for handle in handles)
+
+
+class TestRetiredSegments:
+    """Released segments are closed once no view uses them, so repeated
+    process-backend solves do not keep one mapping per solve."""
+
+    @pytest.fixture
+    def points(self):
+        # 9000 × 16 float64 ≈ 1.15 MB > MIN_SHARED_BYTES → shared
+        return np.random.default_rng(4).normal(size=(9000, 16))
+
+    @staticmethod
+    def _mapped(before):
+        gc.collect()  # finished clusters (and their executors) sit in cycles
+        return [h for h in shm._live + shm._retired if h not in before]
+
+    def _solve(self, seed, **where):
+        ex = ProcessExecutor(max_workers=2)
+        if ex.fallback_reason:
+            pytest.skip(ex.fallback_reason)
+        return repro.solve_diversity(k=4, machines=4, eps=0.5, seed=seed,
+                                     backend=ex, **where)
+
+    def test_fresh_metrics_do_not_accumulate(self, points):
+        before = shm._live + shm._retired
+        for seed in range(4):
+            self._solve(seed, points=points)
+            # at most the last solve's segment, which closes at the next bind
+            assert len(self._mapped(before)) <= 1
+
+    def test_reused_metric_keeps_one_segment_and_stays_usable(self, points):
+        metric = EuclideanMetric(points)
+        I, J = np.arange(0, 40), np.arange(100, 150)
+        expect = metric.pairwise(I, J).copy()
+        before = shm._live + shm._retired
+        results = []
+        for seed in range(4):
+            results.append(self._solve(seed, metric=metric))
+            # each bind moves the metric to a new segment; the old one closes
+            assert len(self._mapped(before)) <= 1
+        assert metric.points.data.base is not None  # still on a segment
+        assert np.array_equal(metric.pairwise(I, J), expect)
+        again = self._solve(0, metric=metric)
+        assert np.array_equal(again.ids, results[0].ids)
+
+    def test_sweep_spares_mappings_still_in_use(self, points):
+        metric = EuclideanMetric(points)
+        I, J = np.arange(0, 40), np.arange(100, 150)
+        expect = metric.pairwise(I, J).copy()
+        handle = share_metric_points(metric)
+        handle.release()  # like shutdown(): unlinked, still viewed
+        other = share_metric_points(EuclideanMetric(points))  # a bind sweeps
+        other.release()
+        assert handle in shm._retired
+        assert other not in shm._retired  # nothing viewed it any more
+        assert np.array_equal(metric.pairwise(I, J), expect)

@@ -164,18 +164,22 @@ class TestOrphanRecovery:
         state = str(tmp_path / "state")
         reference = run_reference(points, algorithm="kcenter", k=5, seed=7)
         front, job = self._submit_and_orphan(state, points)
+        # stop the frontend's own sweeper before the ghost's lease can
+        # expire, so the pass below is the only one that can reap it
+        front.stop()
+        survivor = make_manager(state, role="frontend", lease_s=0.4)  # never started
 
         time.sleep(0.5)  # let the ghost's lease expire
-        recovered = front.recover_now()
+        recovered = survivor.recover_now()
         assert recovered["orphaned"] == 1
         assert recovered["requeued"] == 1
-        stats = front.stats()
+        stats = survivor.stats()
         assert stats["orphans"]["orphaned_total"] == 1
         assert stats["orphans"]["requeued_total"] == 1
         kinds = [e["kind"] for e in stats["orphans"]["recent_events"]]
         assert "worker_lost" in kinds and "orphan_requeue" in kinds
-        assert front.recent_orphan_activity()
-        rec = front.stores.jobs.get(job.id)
+        assert survivor.recent_orphan_activity()
+        rec = survivor.stores.jobs.get(job.id)
         assert rec.state == "queued"
         assert rec.attempt == 1
         assert "orphaned" in rec.attempts[-1]["error"]
@@ -184,13 +188,13 @@ class TestOrphanRecovery:
         # CountingOracle ledger included — matches the uninterrupted run
         worker = make_manager(state, role="worker", lease_s=5.0).start()
         try:
-            done = front.wait(job.id, timeout=120)
+            done = survivor.wait(job.id, timeout=120)
             assert done.state is JobState.DONE
             assert done.attempt == 1  # recorded recovery, same answer
             assert canon(done.result) == canon(reference)
         finally:
             worker.stop()
-            front.stop()
+            survivor.stop()
 
     def test_orphan_metrics_exported(self, tmp_path, points):
         state = str(tmp_path / "state")
