@@ -212,12 +212,16 @@ def metrics_reset() -> None:
 
 
 def _observed_solve(algorithm: str, cluster: MPCCluster, call: Callable,
+                    owns_executor: bool = False,
                     registry: Optional[MetricsRegistry] = None):
     """Run one solver call with a metrics observer attached.
 
     The observer is attached for exactly the duration of the call, so
     pre-assembled clusters (``cluster=``) are instrumented identically
     to facade-assembled ones and repeated solves never stack observers.
+    With ``owns_executor`` (the facade built the executor itself) the
+    executor is shut down when the call ends, raised or not, so no
+    worker process outlives the solve.
     """
     registry = registry if registry is not None else default_registry()
     observer = MetricsObserver(registry)
@@ -231,6 +235,8 @@ def _observed_solve(algorithm: str, cluster: MPCCluster, call: Callable,
         result = call()
     finally:
         cluster.obs.remove(observer)
+        if owns_executor:
+            cluster.executor.shutdown()
     registry.histogram(
         "repro_solver_latency_seconds",
         "wall-clock per completed facade solver call", labels=("algorithm",),
@@ -263,13 +269,14 @@ def solve_kcenter(
     append-grown dataset from a parent version's centers — see
     ``docs/streaming.md``.
     """
-    cluster = _resolve_cluster(
+    cluster, owned = _resolve_cluster(
         cluster, points, metric, machines, seed, partition, backend, limits, faults
     )
     return _observed_solve(
         "kcenter", cluster,
         lambda: mpc_kcenter(cluster, k, epsilon=eps, constants=constants,
                             trim_mode=trim_mode, warm_start=warm_start),
+        owned,
     )
 
 
@@ -295,13 +302,14 @@ def solve_diversity(
     ``warm_start=`` re-solves an append-grown dataset from a parent
     version's solution — see ``docs/streaming.md``.
     """
-    cluster = _resolve_cluster(
+    cluster, owned = _resolve_cluster(
         cluster, points, metric, machines, seed, partition, backend, limits, faults
     )
     return _observed_solve(
         "diversity", cluster,
         lambda: mpc_diversity(cluster, k, epsilon=eps, constants=constants,
                               trim_mode=trim_mode, warm_start=warm_start),
+        owned,
     )
 
 
@@ -330,13 +338,14 @@ def solve_ksupplier(
     """
     if customers is None or suppliers is None:
         raise ValueError("solve_ksupplier needs customer and supplier id sets")
-    cluster = _resolve_cluster(
+    cluster, owned = _resolve_cluster(
         cluster, points, metric, machines, seed, partition, backend, limits, faults
     )
     return _observed_solve(
         "ksupplier", cluster,
         lambda: mpc_ksupplier(cluster, customers, suppliers, k, epsilon=eps,
                               constants=constants, trim_mode=trim_mode),
+        owned,
     )
 
 
@@ -350,7 +359,10 @@ def _resolve_cluster(
     backend: Union[str, ExecutionBackend],
     limits: Optional[Limits],
     faults=None,
-) -> MPCCluster:
+) -> tuple:
+    """``(cluster, owns_executor)``: the caller's cluster, or one built
+    here — whose executor the solve then owns when ``backend`` was a
+    name rather than a caller's executor instance."""
     if cluster is not None:
         if points is not None or isinstance(metric, Metric):
             raise ValueError("pass either cluster= or points/metric, not both")
@@ -359,8 +371,8 @@ def _resolve_cluster(
                 "pass either cluster= or faults=, not both — give the plan "
                 "to build_cluster(faults=...) when pre-assembling"
             )
-        return cluster
-    return build_cluster(
+        return cluster, False
+    built = build_cluster(
         points,
         metric=metric,
         machines=machines,
@@ -370,6 +382,7 @@ def _resolve_cluster(
         limits=limits,
         faults=faults,
     )
+    return built, isinstance(backend, str)
 
 
 def _baseline_solver(name: str, kind: str, run: Callable, doc: str):
@@ -404,7 +417,7 @@ def _baseline_solver(name: str, kind: str, run: Callable, doc: str):
         outliers: Optional[int] = None,
     ):
         del constants, trim_mode  # interface parity only; baselines have no knobs
-        cluster = _resolve_cluster(
+        cluster, owned = _resolve_cluster(
             cluster, points, metric, machines, seed, partition, backend, limits,
             faults,
         )
@@ -425,7 +438,7 @@ def _baseline_solver(name: str, kind: str, run: Callable, doc: str):
                 coreset_value=float(value), rounds=rounds,
             )
 
-        return _observed_solve(name, cluster, call)
+        return _observed_solve(name, cluster, call, owned)
 
     solver.__name__ = f"solve_{name}"
     solver.__qualname__ = solver.__name__

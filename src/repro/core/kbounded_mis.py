@@ -364,33 +364,31 @@ def _mis_outer_round(
                         union_by_j[j].append(sel)
 
             central = cluster.central
-            removed: set[int] = set()
+            removed = np.zeros(n, dtype=bool)
             additions: list[np.ndarray] = []
+            # every sample vertex received this round: the central
+            # machine's local copy that M_j ∪ N(M_j) is deleted from
+            received = [np.concatenate(u) for u in union_by_j if u]
+            all_sample = (
+                np.unique(np.concatenate(received)) if received
+                else np.zeros(0, dtype=np.int64)
+            )
             for j in range(m):
                 if not union_by_j[j]:
                     continue
                 S_j = np.unique(np.concatenate(union_by_j[j]))
-                S_j = np.array([v for v in S_j if v not in removed], dtype=np.int64)
+                S_j = S_j[~removed[S_j]]
                 if S_j.size == 0:
                     continue
                 M_j = trim(central, S_j, tau, p, tie, mode=trim_mode)
                 if M_j.size == 0:
                     continue
                 additions.append(M_j)
-                # delete M_j ∪ N(M_j) from the central machine's local copy,
-                # i.e. from all sample vertices received this round
-                all_sample = np.unique(
-                    np.concatenate([np.concatenate(u) for u in union_by_j if u])
-                )
-                candidates = np.array(
-                    [v for v in all_sample if v not in removed], dtype=np.int64
-                )
+                candidates = all_sample[~removed[all_sample]]
                 if candidates.size:
                     near = central.within(candidates, M_j, tau).any(axis=1)
-                    for v in candidates[near]:
-                        removed.add(int(v))
-                for v in M_j:
-                    removed.add(int(v))
+                    removed[candidates[near]] = True
+                removed[M_j] = True
                 if mis.size + sum(a.size for a in additions) >= k:
                     break
             new_mis = (

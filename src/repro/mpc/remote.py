@@ -37,17 +37,15 @@ is the design center:
   bit-identical to a serial one, ledger included.
 
 Closures are shipped by value (code object + cells + referenced
-globals), so both ends must run the same Python ``major.minor`` —
-verified at ping time, mismatched workers are refused with a clear
-reason rather than a marshal crash mid-run.
+globals) through :mod:`repro.mpc.codec`, the codec the process
+backend's pool uses too, so both ends must run the same Python
+``major.minor`` — verified at ping time, mismatched workers are
+refused with a clear reason rather than a marshal crash mid-run.
 """
 
 from __future__ import annotations
 
 import hashlib
-import importlib
-import io
-import marshal
 import os
 import pickle
 import socket
@@ -56,13 +54,19 @@ import sys
 import threading
 import time
 import traceback
-import types
 import weakref
 from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
-from repro.mpc.executor import ProcessExecutor, _counting_layers, workers_from_env
+from repro.mpc.codec import dumps_task, loads_task
+from repro.mpc.executor import (
+    ProcessExecutor,
+    _chunk_payload,
+    _MachineTask,
+    _replay,
+    workers_from_env,
+)
 from repro.mpc.shm import _unwrap
 from repro.obs.events import ExecSpanRecord, FaultEvent
 from repro.obs.logging import get_logger
@@ -172,140 +176,17 @@ def workers_from_remote_env() -> List[Tuple[str, int]]:
 
 # -- task shipping ------------------------------------------------------------
 #
-# map_machines tasks are closures over numpy arrays and module-level
-# helpers — exactly what stdlib pickle refuses.  The pair of pickler
-# subclasses below ships such functions *by value*: the marshalled code
-# object, defaults, closure-cell contents, and the referenced globals
-# (modules go by name, module-level functions by reference).  The point
-# matrix additionally travels as a persistent id so a chunk payload
-# never embeds the dataset — the worker resolves the fingerprint from
-# its cache and answers ``need_dataset`` on a miss.
+# Tasks travel through the closure codec of :mod:`repro.mpc.codec`.  The
+# point matrix additionally travels as a persistent reference to its
+# fingerprint, so a chunk payload never embeds the dataset — the worker
+# resolves the fingerprint from its cache and answers ``need_dataset``
+# on a miss.
 
 
 class _DatasetMiss(Exception):
     def __init__(self, fingerprint: str) -> None:
         super().__init__(f"dataset {fingerprint} not cached on this worker")
         self.fingerprint = fingerprint
-
-
-class _EmptyCell:
-    """Sentinel for an unassigned closure cell."""
-
-
-_EMPTY_CELL = _EmptyCell()
-
-
-def _code_names(code: types.CodeType) -> set:
-    names = set(code.co_names)
-    for const in code.co_consts:
-        if isinstance(const, types.CodeType):
-            names |= _code_names(const)
-    return names
-
-
-def _shipped_by_value(fn: types.FunctionType) -> bool:
-    """True when ``fn`` cannot be pickled by reference (lambdas,
-    nested functions, anything not importable under its qualname)."""
-    if fn.__name__ == "<lambda>" or "<locals>" in fn.__qualname__:
-        return True
-    module = sys.modules.get(fn.__module__)
-    if module is None:
-        return True
-    target = module
-    for part in fn.__qualname__.split("."):
-        target = getattr(target, part, None)
-        if target is None:
-            return True
-    return target is not fn
-
-
-def _rebuild_function(code_bytes, name, defaults, kwdefaults, cells, glb, module):
-    import builtins
-
-    code = marshal.loads(code_bytes)
-    namespace = dict(glb)
-    namespace.setdefault("__builtins__", builtins)
-    namespace.setdefault("__name__", module)
-    closure = tuple(
-        types.CellType() if isinstance(v, _EmptyCell) else types.CellType(v)
-        for v in cells
-    )
-    fn = types.FunctionType(code, namespace, name, defaults, closure)
-    fn.__kwdefaults__ = kwdefaults
-    return fn
-
-
-def _reduce_function(fn: types.FunctionType):
-    cells = []
-    for cell in fn.__closure__ or ():
-        try:
-            cells.append(cell.cell_contents)
-        except ValueError:  # pragma: no cover - unassigned cell
-            cells.append(_EMPTY_CELL)
-    glb = {
-        name: fn.__globals__[name]
-        for name in sorted(_code_names(fn.__code__))
-        if name in fn.__globals__ and fn.__globals__[name] is not fn
-    }
-    return (
-        _rebuild_function,
-        (
-            marshal.dumps(fn.__code__),
-            fn.__name__,
-            fn.__defaults__,
-            fn.__kwdefaults__,
-            tuple(cells),
-            glb,
-            fn.__module__,
-        ),
-    )
-
-
-class _TaskPickler(pickle.Pickler):
-    def __init__(self, buf, dataset: Optional[Tuple[str, np.ndarray]] = None) -> None:
-        super().__init__(buf, protocol=pickle.HIGHEST_PROTOCOL)
-        self._dataset = dataset
-
-    def persistent_id(self, obj):
-        if self._dataset is not None and obj is self._dataset[1]:
-            return ("repro-dataset", self._dataset[0])
-        return None
-
-    def reducer_override(self, obj):
-        if isinstance(obj, types.ModuleType):
-            return (importlib.import_module, (obj.__name__,))
-        if isinstance(obj, types.FunctionType) and _shipped_by_value(obj):
-            return _reduce_function(obj)
-        return NotImplemented
-
-
-class _TaskUnpickler(pickle.Unpickler):
-    def __init__(self, buf, datasets: dict) -> None:
-        super().__init__(buf)
-        self._datasets = datasets
-
-    def persistent_load(self, pid):
-        kind, fingerprint = pid
-        if kind != "repro-dataset":  # pragma: no cover - protocol guard
-            raise ProtocolError(f"unknown persistent id {pid!r}")
-        try:
-            return self._datasets[fingerprint]
-        except KeyError:
-            raise _DatasetMiss(fingerprint) from None
-
-
-def dumps_task(payload, dataset: Optional[Tuple[str, np.ndarray]] = None) -> bytes:
-    """Pickle a task payload, shipping closures by value and the point
-    matrix (when given) as a fingerprint reference."""
-    buf = io.BytesIO()
-    _TaskPickler(buf, dataset=dataset).dump(payload)
-    return buf.getvalue()
-
-
-def loads_task(blob: bytes, datasets: dict):
-    """Inverse of :func:`dumps_task`; raises :class:`_DatasetMiss` when a
-    referenced fingerprint is not in ``datasets``."""
-    return _TaskUnpickler(io.BytesIO(blob), datasets).load()
 
 
 def find_points_array(metric) -> Optional[np.ndarray]:
@@ -339,13 +220,18 @@ class WorkerAgent:
     :func:`~repro.mpc.executor.workers_from_env`), else the CPU count;
     slots bound how many chunks execute concurrently on this agent.
 
+    A ``run`` blob decodes to ``(fn, args)`` and the agent returns
+    ``[fn(a) for a in args]``; for ``map_machines`` work ``fn`` is the
+    process backend's per-machine task, which returns each machine's
+    value, RNG state and oracle deltas.
+
     Request vocabulary (one request per connection)::
 
         {"op": "ping"}                          -> {"ok", "pid", "slots", "python", "datasets"}
         {"op": "put_dataset", fingerprint,
          shape, dtype, blob}                    -> {"ok", "cached"}
-        {"op": "run", mode, blob, batch,
-         worker, attempt, chunk, traceparent,
+        {"op": "run", blob, batch, worker,
+         attempt, chunk, traceparent,
          parent_span, inject, delay_s,
          heartbeat_s}                           -> {"hb": n}* then
                                                    {"ok": True, "blob"} |
@@ -557,31 +443,29 @@ class WorkerAgent:
             return
         send_msg(conn, reply)
 
+    def _cached_dataset(self, pid) -> np.ndarray:
+        """Resolve a ``("repro-dataset", fingerprint)`` codec reference;
+        :class:`_DatasetMiss` when this agent does not hold it."""
+        kind, fingerprint = pid
+        if kind != "repro-dataset":  # pragma: no cover - protocol guard
+            raise ProtocolError(f"unknown persistent id {pid!r}")
+        try:
+            return self._datasets[fingerprint]
+        except KeyError:
+            raise _DatasetMiss(fingerprint) from None
+
     def _run_chunk(self, request: dict) -> dict:
         with self._slots_sem:
             try:
-                payload = loads_task(request["blob"], self._datasets)
+                payload = loads_task(request["blob"], self._cached_dataset)
             except _DatasetMiss as miss:
                 return {"ok": False, "need_dataset": miss.fingerprint}
             except Exception:
                 return {"ok": False, "fatal": traceback.format_exc()}
             t_start = time.perf_counter()
             try:
-                if request["mode"] == "machines":
-                    fn, machines = payload
-                    counting = _counting_layers(machines[0].metric) if machines else []
-                    values = []
-                    for mach in machines:
-                        before = [(c.calls, c.evaluations) for c in counting]
-                        value = fn(mach)
-                        deltas = [
-                            (c.calls - b_calls, c.evaluations - b_evals)
-                            for c, (b_calls, b_evals) in zip(counting, before)
-                        ]
-                        values.append((value, mach.rng.bit_generator.state, deltas))
-                else:
-                    fn, indices = payload
-                    values = [fn(i) for i in indices]
+                fn, args = payload
+                values = [fn(a) for a in args]
             except BaseException:
                 return {"ok": False, "fatal": traceback.format_exc()}
             span = {
@@ -1055,7 +939,7 @@ class RemoteExecutor:
 
         threading.Thread(target=reap, daemon=True).start()
 
-    def _remote_map(self, mode: str, fn, items: Sequence, count: int) -> list:
+    def _remote_map(self, task, count: int) -> list:
         """Strided chunks over the surviving pool, waves of dispatch
         with bounded re-dispatch — the remote analogue of
         ``ProcessExecutor._fork_map``."""
@@ -1090,7 +974,7 @@ class RemoteExecutor:
             for widx, chunk in pending:
                 worker = alive[(widx + attempt) % len(alive)]
                 try:
-                    blob = self._build_blob(mode, fn, items, chunk)
+                    blob = self._build_blob(task, chunk)
                 except Exception as exc:
                     raise _PoolFailure(
                         f"task cannot be shipped to remote workers: {exc!r}"
@@ -1116,7 +1000,6 @@ class RemoteExecutor:
                 )
                 request = {
                     "op": "run",
-                    "mode": mode,
                     "blob": blob,
                     "batch": batch_no,
                     "worker": widx,
@@ -1229,12 +1112,11 @@ class RemoteExecutor:
                 out[i] = value
         return out
 
-    def _build_blob(self, mode: str, fn, items: Sequence, chunk: List[int]) -> bytes:
-        if mode == "machines":
-            payload = (fn, [items[i] for i in chunk])
-        else:
-            payload = (fn, list(chunk))
-        return dumps_task(payload, dataset=self._dataset)
+    def _build_blob(self, task, chunk: List[int]) -> bytes:
+        payload = _chunk_payload(task, chunk)
+        dataset = self._dataset
+        refs = [(("repro-dataset", dataset[0]), dataset[1])] if dataset is not None else []
+        return dumps_task(payload, refs)
 
     # -- the ExecutionBackend surface ----------------------------------------
 
@@ -1247,7 +1129,7 @@ class RemoteExecutor:
         if self.fallback_reason is not None or not self._alive():
             return self._local_executor().map_indexed(fn, count)
         try:
-            return self._remote_map("indexed", fn, range(count), count)
+            return self._remote_map(fn, count)
         except _PoolFailure as exc:
             self._record_degradation(str(exc))
             return self._local_executor().map_indexed(fn, count)
@@ -1264,17 +1146,8 @@ class RemoteExecutor:
         if self.fallback_reason is not None or not self._alive():
             return self._local_executor().map_machines(fn, machines, metric=metric)
         try:
-            packed = self._remote_map("machines", fn, machines, count)
+            packed = self._remote_map(_MachineTask(fn, machines, metric), count)
         except _PoolFailure as exc:
             self._record_degradation(str(exc))
             return self._local_executor().map_machines(fn, machines, metric=metric)
-
-        counting = _counting_layers(metric)
-        values = []
-        for i, (value, rng_state, deltas) in enumerate(packed):
-            machines[i].rng.bit_generator.state = rng_state
-            for layer, (d_calls, d_evals) in zip(counting, deltas):
-                layer.calls += d_calls
-                layer.evaluations += d_evals
-            values.append(value)
-        return values
+        return _replay(packed, machines, metric)

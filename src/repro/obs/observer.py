@@ -23,6 +23,7 @@ zero-observer overhead negligible.
 from __future__ import annotations
 
 import time
+import weakref
 from contextlib import contextmanager
 from typing import Any, Iterator, List, Optional
 
@@ -97,11 +98,14 @@ class ObserverHub:
     cluster's counters (round number, cumulative words/messages from
     :class:`~repro.mpc.accounting.ClusterStats`, and — when the metric
     is a :class:`~repro.metric.oracle.CountingOracle` — the oracle call
-    counters) to snapshot spans at entry and exit.
+    counters) to snapshot spans at entry and exit.  The cluster owns the
+    hub, so the hub holds it weakly: a dropped cluster is freed at once,
+    with its executor, worker pool and shared memory, not at the next
+    cyclic garbage collection.
     """
 
     def __init__(self, cluster) -> None:
-        self._cluster = cluster
+        self._cluster = weakref.proxy(cluster)
         self._observers: List[Observer] = []
         self._stack: List[SpanRecord] = []
         self._next_uid = 0

@@ -13,10 +13,16 @@ from __future__ import annotations
 import os
 import signal
 
+import numpy as np
 import pytest
 
+from repro.core import mpc_kcenter
 from repro.faults import FaultPlan
+from repro.metric.euclidean import EuclideanMetric
+from repro.metric.oracle import CountingOracle
+from repro.mpc.cluster import MPCCluster
 from repro.mpc.executor import ProcessExecutor, _WorkerFailure
+from repro.obs import Observer
 
 
 def make_executor(**kwargs) -> ProcessExecutor:
@@ -92,6 +98,45 @@ class TestWorkerDeath:
         # strided chunks: worker w owns indices w, w+2, w+4, ...
         assert all(runs[i] == 1 for i in range(healthy, 8, 2))
         assert all(runs[i] == 1 for i in range(faulted[0], 8, 2))  # killed pre-task
+        ex.shutdown()
+
+
+class TestIdleWorkerDeath:
+    """A pool worker that dies between batches is replaced at the next."""
+
+    def test_worker_killed_while_idle_is_replaced(self):
+        pts = np.random.default_rng(11).normal(scale=3.0, size=(300, 2))
+
+        def solve(executor, observer=None):
+            oracle = CountingOracle(EuclideanMetric(pts))
+            cluster = MPCCluster(oracle, 4, seed=7, executor=executor)
+            if observer is not None:
+                cluster.obs.add(observer)
+            res = mpc_kcenter(cluster, 6, epsilon=0.2)
+            return res.radius, res.centers.tolist(), oracle.calls, oracle.evaluations
+
+        ex = make_executor()
+        killed = []
+
+        class KillIdleWorker(Observer):
+            """SIGKILLs worker 0 at the first round barrier after the
+            pool exists — between batches, while it waits for a frame."""
+
+            wants_messages = False
+
+            def on_round_end(self, record):
+                pool = ex._pool
+                if not killed and pool is not None and pool.workers[0] is not None:
+                    killed.append(pool.workers[0].pid)
+                    os.kill(killed[0], signal.SIGKILL)
+
+        got = solve(ex, KillIdleWorker())
+        assert killed
+        assert got == solve(None)  # serial: results and ledger
+        stats = ex.recovery_stats()
+        assert stats["chunk_retries"] == 1
+        assert stats["serial_fallbacks"] == 0 and stats["degradations"] == []
+        assert ex._pool.workers[0].pid != killed[0]
         ex.shutdown()
 
 
@@ -186,18 +231,20 @@ class TestFailureAggregation:
         ex.shutdown()
 
 
+class FakeMachine:
+    """A machine stand-in; module level, so it pickles by reference into
+    pool workers."""
+
+    def __init__(self, i):
+        self.id = i
+        self.rng = np.random.default_rng(i)
+
+
 class TestMapMachinesRecovery:
     """Recovered map_machines batches keep the RNG/oracle replay exact
     (the end-to-end bit-identity proof lives in test_faults.py)."""
 
     def test_rng_replay_survives_chunk_retry(self):
-        import numpy as np
-
-        class FakeMachine:
-            def __init__(self, i):
-                self.id = i
-                self.rng = np.random.default_rng(i)
-
         def draw(mach):
             return float(mach.rng.random())
 

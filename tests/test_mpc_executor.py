@@ -2,14 +2,28 @@
 must be bit-for-bit drop-ins for serial — results, communication
 ledger, and oracle counters alike."""
 
+import gc
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+import time
+import weakref
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.core import mpc_diversity, mpc_k_bounded_mis, mpc_kcenter
+from repro.faults import FaultPlan
+from repro.mpc import blas, shm
 from repro.metric.euclidean import EuclideanMetric
 from repro.metric.oracle import CountingOracle
 from repro.mpc.cluster import MPCCluster
 from repro.mpc.executor import (
+    _Pool,
     BACKENDS,
     ExecutionBackend,
     ProcessExecutor,
@@ -305,3 +319,243 @@ class TestProcessBitIdentical:
         )
         for m1, m2 in zip(c1.machines, c2.machines):
             assert m1.rng.random() == m2.rng.random()
+
+
+def _child_pids() -> set:
+    """Pids of this process's children, unreaped zombies included."""
+    me = os.getpid()
+    pids = set()
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except OSError:  # the process ended while being listed
+            continue
+        if int(fields[1]) == me:
+            pids.add(int(stat.parent.name))
+    return pids
+
+
+def _pipe_inodes(pid: int) -> set:
+    """The pipes a process holds open, as ``pipe:[inode]`` strings."""
+    fd_dir = Path(f"/proc/{pid}/fd")
+    out = set()
+    for fd in fd_dir.iterdir():
+        try:
+            target = os.readlink(fd)
+        except OSError:
+            continue
+        if target.startswith("pipe:"):
+            out.add(target)
+    return out
+
+
+def _pool_pids(ex) -> list:
+    pool = ex._pool
+    return [w.pid for w in pool.workers if w is not None] if pool is not None else []
+
+
+def _process_executor(**kwargs) -> ProcessExecutor:
+    kwargs.setdefault("max_workers", 2)
+    ex = ProcessExecutor(**kwargs)
+    if ex.fallback_reason:
+        pytest.skip(ex.fallback_reason)
+    return ex
+
+
+needs_proc = pytest.mark.skipif(
+    not Path("/proc/self/stat").exists(), reason="needs /proc"
+)
+
+
+class TestProcessPool:
+    """Workers are forked once per bound cluster and kept until
+    shutdown; no worker outlives its owner."""
+
+    @pytest.fixture
+    def pts(self, rng):
+        return rng.normal(scale=3.0, size=(300, 2))
+
+    def test_pool_is_reused_across_batches(self):
+        ex = _process_executor()
+        assert ex.map_indexed(lambda i: i * i, 8) == [i * i for i in range(8)]
+        pids = _pool_pids(ex)
+        assert len(pids) == 2
+        for _ in range(3):
+            assert ex.map_indexed(lambda i: i + 1, 8) == list(range(1, 9))
+        assert _pool_pids(ex) == pids
+        ex.shutdown()
+        assert ex._pool is None
+
+    @needs_proc
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_two_live_pools_shut_down_in_either_order(self, first):
+        executors = [_process_executor(), _process_executor()]
+        barrier = threading.Barrier(2)
+        results = {}
+
+        def run(k):
+            barrier.wait()
+            results[k] = [executors[k].map_indexed(lambda i: i + 100 * k, 8)
+                          for _ in range(4)]
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        for k in range(2):
+            assert results[k] == [[i + 100 * k for i in range(8)]] * 4
+        pids = [_pool_pids(ex) for ex in executors]
+        assert all(len(p) == 2 for p in pids)
+        # a worker holds its own two pipes and no other worker's, of
+        # either pool: each pipe has one reader and one writer, so a
+        # lost peer shows as EOF or EPIPE
+        pipes = {
+            w.pid: {os.readlink(f"/proc/self/fd/{fd}") for fd in (w.task_fd, w.result_fd)}
+            for ex in executors for w in ex._pool.workers
+        }
+        every_pipe = set().union(*pipes.values())
+        for pid, own in pipes.items():
+            assert _pipe_inodes(pid) & every_pipe == own
+        done = threading.Event()
+
+        def stop():
+            for ex in (executors if first == 0 else executors[::-1]):
+                ex.shutdown()
+            done.set()
+
+        stopper = threading.Thread(target=stop, daemon=True)
+        stopper.start()
+        stopper.join(timeout=10)
+        assert done.is_set(), "pool shutdown hung"
+        assert not _child_pids() & {pid for p in pids for pid in p}
+
+    @needs_proc
+    def test_no_child_remains_after_facade_solve(self, pts, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "2")
+        forked = []
+        spawn = _Pool._fork
+
+        def recording_fork(pool):
+            worker = spawn(pool)
+            forked.append(worker.pid)
+            return worker
+
+        monkeypatch.setattr(_Pool, "_fork", recording_fork)
+        res = repro.solve_kcenter(pts, k=5, machines=4, seed=1, backend="process")
+        serial = repro.solve_kcenter(pts, k=5, machines=4, seed=1)
+        assert res.radius == serial.radius
+        assert forked and not _child_pids() & set(forked)
+
+        forked.clear()
+        # every machine task faults past its retry budget: the solve raises
+        plan = FaultPlan(seed=1, machine_fault=1.0, machine_fault_attempts=10)
+        with pytest.raises(repro.exceptions.MachineFault):
+            repro.solve_diversity(pts, k=5, machines=4, seed=1, backend="process",
+                                  faults=plan)
+        assert forked and not _child_pids() & set(forked)
+
+    def test_unpicklable_task_runs_serially(self):
+        ex = _process_executor()
+        lock = threading.Lock()
+
+        def task(i):
+            with lock:
+                return i * i
+
+        assert ex.map_indexed(task, 8) == [i * i for i in range(8)]
+        stats = ex.recovery_stats()
+        assert stats["serial_fallbacks"] == 1
+        assert "cannot be sent to a pool worker" in stats["degradations"][0]
+        assert "lock" in stats["degradations"][0]
+        assert _pool_pids(ex) == []  # nothing was forked for it
+        ex.shutdown()
+
+    def test_one_executor_two_clusters(self, rng):
+        sets = [rng.normal(scale=3.0, size=(300, 2)),
+                rng.normal(scale=5.0, size=(260, 3))]
+
+        def solve(points, executor):
+            oracle = CountingOracle(EuclideanMetric(points))
+            cluster = MPCCluster(oracle, 4, seed=7, executor=executor)
+            return cluster, oracle
+
+        ex = _process_executor()
+        shared = [solve(points, ex) for points in sets]
+        # solve the second cluster first, then the first: each batch
+        # runs on a pool forked for its own metric
+        got = {}
+        for k in (1, 0):
+            cluster, oracle = shared[k]
+            res = mpc_kcenter(cluster, 5, epsilon=0.2)
+            got[k] = (res.radius, res.centers.tolist(), oracle.calls, oracle.evaluations)
+        for k, points in enumerate(sets):
+            cluster, oracle = solve(points, SerialExecutor())
+            res = mpc_kcenter(cluster, 5, epsilon=0.2)
+            assert got[k] == (res.radius, res.centers.tolist(), oracle.calls,
+                              oracle.evaluations)
+        assert ex.recovery_stats()["serial_fallbacks"] == 0
+        ex.shutdown()
+
+    def test_worker_blas_threads_capped(self):
+        if blas.thread_count() is None:
+            pytest.skip("no BLAS thread setter found")
+        ex = _process_executor()
+        counts = ex.map_indexed(lambda i: (blas.thread_count(), os.getpid()), 2)
+        assert {pid for _, pid in counts} == set(_pool_pids(ex))
+        cap = max(1, (os.cpu_count() or 1) // 2)
+        assert all(count <= cap for count, _ in counts)
+        ex.shutdown()
+
+    @needs_proc
+    def test_dropped_cluster_frees_pool_and_segment(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "2")
+        # 9000 x 16 doubles is above the shared-memory threshold
+        points = np.random.default_rng(4).normal(size=(9000, 16))
+        gc.collect()
+        gc.disable()
+        try:
+            cluster = repro.build_cluster(points, machines=4, seed=1, backend="process")
+            if cluster.executor.fallback_reason:
+                pytest.skip(cluster.executor.fallback_reason)
+            ref = weakref.ref(cluster)
+            segments = list(cluster.executor._shared)
+            repro.solve_diversity(k=4, eps=0.5, cluster=cluster)
+            pids = _pool_pids(cluster.executor)
+            assert segments and pids
+            del cluster
+            assert ref() is None
+            assert not any(handle in shm._live for handle in segments)
+            assert not _child_pids() & set(pids)
+        finally:
+            gc.enable()
+
+    @needs_proc
+    def test_workers_exit_when_their_driver_dies(self, tmp_path):
+        # the driver exits without shutdown or exit hooks
+        script = textwrap.dedent("""
+            import os, sys
+            from repro.mpc.executor import ProcessExecutor
+            ex = ProcessExecutor(max_workers=2)
+            assert ex.map_indexed(lambda i: i, 4) == [0, 1, 2, 3]
+            print(" ".join(str(w.pid) for w in ex._pool.workers), flush=True)
+            os._exit(0)
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(repro.__file__).parents[1])] + sys.path))
+        out = subprocess.run([sys.executable, "-c", script], env=env, timeout=60,
+                             capture_output=True, text=True, check=True)
+        pids = [int(p) for p in out.stdout.split()]
+        assert len(pids) == 2
+
+        def alive(pid):
+            try:
+                fields = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
+            except OSError:
+                return False
+            return fields[0] != "Z"
+
+        deadline = time.monotonic() + 10
+        while any(alive(pid) for pid in pids) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(alive(pid) for pid in pids)
