@@ -1,4 +1,4 @@
-"""The closure codec shared by the process and remote backends.
+"""The closure codec and the framing shared by the process and remote backends.
 
 ``map_machines`` tasks are closures over numpy arrays and module-level
 helpers — exactly what stdlib pickle refuses.  :func:`dumps_task` ships
@@ -10,6 +10,13 @@ the remote backend names the point matrix an agent cached by its
 fingerprint, and the process backend names the metric chain each pool
 worker inherited at fork.  Code objects are marshalled, so both ends
 must run the same Python ``major.minor``.
+
+Both backends also frame their messages the same way: a frame is an
+8-byte big-endian length and a payload, written whole to a stream
+socket (a ``socketpair`` to a pool worker, a TCP connection to an
+agent).  :func:`send_msg`/:func:`recv_msg` carry plain-pickled request
+and reply dicts in frames; a frame that cannot be read whole is a
+:class:`ProtocolError`, never a hang or a partial read.
 """
 
 from __future__ import annotations
@@ -18,6 +25,8 @@ import importlib
 import io
 import marshal
 import pickle
+import socket
+import struct
 import sys
 import types
 from typing import Any, Callable, Iterable, Tuple
@@ -141,3 +150,64 @@ def loads_task(blob: bytes, resolve: Callable[[Any], Any]):
     receiver's object for each persistent reference (and raises when it
     has none)."""
     return _TaskUnpickler(io.BytesIO(blob), resolve).load()
+
+
+class MissingReference(LookupError):
+    """The receiving end does not hold the object a persistent reference
+    names (``args[0]`` is its key); raised by a ``resolve`` callback."""
+
+
+# -- framing --------------------------------------------------------------------
+
+#: sanity cap on a single frame (a corrupted length header must not
+#: allocate gigabytes before failing)
+MAX_FRAME_BYTES = 1 << 31
+
+_HEADER = struct.Struct("!Q")
+
+
+class ProtocolError(Exception):
+    """A frame could not be read or written whole: truncated stream,
+    closed connection, or an implausible length header."""
+
+
+def _recv_exact(sock: socket.socket, nbytes: int) -> bytearray:
+    buf = bytearray(nbytes)
+    view = memoryview(buf)
+    got = 0
+    while got < nbytes:
+        n = sock.recv_into(view[got:])
+        if not n:
+            raise ProtocolError(f"connection closed mid-frame ({got}/{nbytes} bytes)")
+        got += n
+    return buf
+
+
+def send_frame(sock: socket.socket, blob: bytes) -> None:
+    """Write one length-prefixed frame (``OSError`` when the peer is gone)."""
+    sock.sendall(_HEADER.pack(len(blob)) + blob)
+
+
+def recv_frame(sock: socket.socket) -> bytearray:
+    """Read one length-prefixed frame whole (or raise
+    :class:`ProtocolError`); ``socket.timeout`` propagates so callers
+    can implement leases."""
+    (length,) = _HEADER.unpack(_recv_exact(sock, _HEADER.size))
+    if length > MAX_FRAME_BYTES:
+        raise ProtocolError(f"frame length {length} exceeds {MAX_FRAME_BYTES}")
+    return _recv_exact(sock, length)
+
+
+def send_msg(sock: socket.socket, payload: dict) -> None:
+    send_frame(sock, pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
+
+
+def recv_msg(sock: socket.socket) -> dict:
+    blob = recv_frame(sock)
+    try:
+        payload = pickle.loads(blob)
+    except Exception as exc:
+        raise ProtocolError(f"undecodable frame: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ProtocolError(f"expected a dict frame, got {type(payload).__name__}")
+    return payload

@@ -14,12 +14,15 @@ lives in :mod:`repro.mpc.remote`):
   per bound cluster at its first parallel batch and kept until
   ``shutdown()``, for metrics whose kernels hold the GIL (edit
   distance, graph search, python callables) or very large instances.
-  Each batch sends one frame per worker down a pipe: the task and that
-  worker's machines, encoded with the closure codec of
+  Each batch sends one frame per worker over a socket pair: the task
+  and that worker's machines, encoded with the closure codec of
   :mod:`repro.mpc.codec`.  The metric chain is never sent — each
   worker uses the copy it inherited at fork, whose point matrix lives
   in :mod:`multiprocessing.shared_memory` (see :mod:`repro.mpc.shm`) —
-  and only the small per-machine results travel back.
+  and only the small per-machine results travel back.  The batch loop
+  — chunking, retries, fault accounting, span merging — is the
+  :class:`~repro.mpc.dispatch.ChunkDispatcher` it shares with the
+  remote backend; this module supplies the pool it runs on.
 
 Determinism is preserved by construction on every backend: each machine
 draws only from its *own* RNG stream inside its own task, so the
@@ -45,27 +48,22 @@ from __future__ import annotations
 import atexit
 import gc
 import os
-import pickle
 import select
 import signal
-import struct
+import socket
 import sys
 import threading
 import time
-import traceback
 import weakref
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, List, Optional, Protocol, Sequence, Tuple, TypeVar, runtime_checkable
+from typing import Callable, List, Optional, Protocol, TypeVar, runtime_checkable
 
 from repro.mpc import blas
-from repro.mpc.codec import dumps_task, loads_task
+from repro.mpc.codec import ProtocolError, recv_frame, recv_msg, send_frame, send_msg
+from repro.mpc.dispatch import ChunkDispatcher, _WorkerFailure, lost, read_reply, run_chunk
 from repro.mpc.shm import SharedArray, _unwrap, share_metric_points
-from repro.obs.events import ExecSpanRecord, FaultEvent
-from repro.obs.logging import get_logger
 
 T = TypeVar("T")
-
-_log = get_logger("repro.mpc.executor")
 
 
 @runtime_checkable
@@ -183,89 +181,21 @@ class ThreadedExecutor:
         self.shutdown()
 
 
-class _WorkerFailure(Exception):
-    """Pool workers failed beyond repair: a task raised a real
-    exception, the task could not be sent, or dead/undecodable chunks
-    outlived the retry budget.  The message aggregates *every* failed
-    chunk's reason."""
-
-
-def _counting_layers(metric) -> list:
-    """Every CountingOracle in the metric's wrapper chain (outermost first)."""
-    layers = []
-    seen = set()
-    while metric is not None and id(metric) not in seen:
-        seen.add(id(metric))
-        if hasattr(metric, "evaluations") and hasattr(metric, "calls"):
-            layers.append(metric)
-        metric = getattr(metric, "inner", None)
-    return layers
-
-
-class _MachineTask:
-    """``map_machines`` work in indexed form: ``task(i)`` runs ``fn`` on
-    machine ``i`` and returns its value, the machine's RNG state and the
-    CountingOracle deltas — what the driver replays."""
-
-    def __init__(self, fn, machines: Sequence, metric) -> None:
-        self.fn = fn
-        self.machines = machines
-        self.metric = metric
-
-    def __call__(self, i: int):
-        mach = self.machines[i]
-        counting = _counting_layers(self.metric)
-        before = [(c.calls, c.evaluations) for c in counting]
-        value = self.fn(mach)
-        deltas = [
-            (c.calls - b_calls, c.evaluations - b_evals)
-            for c, (b_calls, b_evals) in zip(counting, before)
-        ]
-        return value, mach.rng.bit_generator.state, deltas
-
-
-def _chunk_payload(task, indices: List[int]):
-    """``(fn, args)`` a worker runs as ``[fn(a) for a in args]`` to
-    compute ``task`` at ``indices``; a machine task is cut down to the
-    machines at ``indices``, so a frame carries just those."""
-    if isinstance(task, _MachineTask):
-        machines = [task.machines[i] for i in indices]
-        return _MachineTask(task.fn, machines, task.metric), range(len(machines))
-    return task, list(indices)
-
-
-def _replay(packed: Sequence, machines: Sequence, metric) -> list:
-    """Apply what workers returned for ``machines`` — each machine's RNG
-    state and the CountingOracle deltas — and return the values."""
-    counting = _counting_layers(metric)
-    values = []
-    for mach, (value, rng_state, deltas) in zip(machines, packed):
-        mach.rng.bit_generator.state = rng_state
-        for layer, (d_calls, d_evals) in zip(counting, deltas):
-            layer.calls += d_calls
-            layer.evaluations += d_evals
-        values.append(value)
-    return values
-
-
 # -- the process pool ---------------------------------------------------------
 #
-# A frame is an 8-byte big-endian length and a payload.  Driver → worker:
-# a codec-encoded ``(meta, fn, args)`` chunk, or an empty payload, which
-# means stop.  Worker → driver: one status byte (0 ok, 1 the task raised
-# or its result could not be pickled) and a plain pickle of
-# ``(values, span)`` or of the traceback text.
+# Each worker talks to the driver over one ``socket.socketpair()``, in the
+# frames of :mod:`repro.mpc.codec`: the driver sends ``run`` requests (see
+# :mod:`repro.mpc.dispatch`) or ``{"op": "stop"}``, and a worker answers
+# each ``run`` with the reply of :func:`~repro.mpc.dispatch.run_chunk`.
 
-_FRAME = struct.Struct("!Q")
-
-#: serialises pipe creation, fork and close, so no worker is forked
-#: while another thread holds a pipe pair that is not registered yet
+#: serialises socket creation, fork and close, so no worker is forked
+#: while another thread holds a socket pair that is not registered yet
 #: (re-entrant: a collected executor may stop its pool from inside a fork)
 _spawn_lock = threading.RLock()
-#: driver-side pipe ends of every live pool worker of this process; a
-#: freshly forked worker closes all of them, so each pipe has exactly
-#: one reader and one writer and a dead peer shows as EOF or EPIPE
-_driver_fds: set = set()
+#: driver-side socket ends of every live pool worker of this process; a
+#: freshly forked worker closes all of them, so each socket pair has
+#: exactly one end per side and a dead peer shows as EOF or EPIPE
+_driver_socks: set = set()
 #: pools not closed yet, stopped by an exit hook
 _live_pools: "weakref.WeakSet[_Pool]" = weakref.WeakSet()
 
@@ -276,81 +206,35 @@ _STOP_WAIT_S = 2.0
 _DRIVER_CHECK_MS = 1000
 
 
-def _send_frame(fd: int, payload: bytes) -> None:
-    """Write one frame whole (``OSError`` when the reader is gone)."""
-    view = memoryview(_FRAME.pack(len(payload)) + payload)
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _read_exact(fd: int, size: int) -> Optional[bytearray]:
-    buf = bytearray()
-    while len(buf) < size:
-        piece = os.read(fd, min(size - len(buf), 1 << 20))
-        if not piece:
-            return None
-        buf += piece
-    return buf
-
-
-def _recv_frame(fd: int) -> Optional[bytearray]:
-    """Read one frame's payload; ``None`` at end of file, also mid-frame."""
-    header = _read_exact(fd, _FRAME.size)
-    if header is None:
-        return None
-    return _read_exact(fd, _FRAME.unpack(header)[0])
-
-
-def _close_quietly(fd: int) -> None:
-    try:
-        os.close(fd)
-    except OSError:
-        pass
-
-
-def _worker_main(task_fd: int, result_fd: int, inherited: list,
-                 blas_threads: int, driver_pid: int) -> None:
+def _worker_main(sock: socket.socket, inherited: list, blas_threads: int,
+                 driver_pid: int) -> None:
     """A pool worker's life: run chunk frames until a stop frame, the end
-    of its task pipe, or the death of its driver."""
+    of its socket, or the death of its driver."""
     gc.freeze()  # the inherited heap is the driver's: never scan or free it here
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the driver decides on interrupts
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     blas.set_thread_count(blas_threads)
     resolve = inherited.__getitem__
     poller = select.poll()
-    poller.register(task_fd, select.POLLIN)
+    poller.register(sock, select.POLLIN)
     while True:
         while not poller.poll(_DRIVER_CHECK_MS):
             if os.getppid() != driver_pid:
                 return
-        blob = _recv_frame(task_fd)
-        if not blob:
+        try:
+            request = recv_msg(sock)
+        except (OSError, ProtocolError):
+            return  # the driver closed its end
+        if request.get("op") != "run":
             return
-        action = None
+        if request["inject"] == "kill":
+            # injected crash: exit before reporting a byte, like an
+            # OOM-killed or segfaulted worker
+            os._exit(1)
+        reply = run_chunk(request, resolve)
+        request = None  # nothing of this chunk outlives it
         try:
-            meta, fn, args = loads_task(blob, resolve)
-            action = meta["inject"]
-            if action == "kill":
-                # injected crash: exit before reporting a byte, like an
-                # OOM-killed or segfaulted worker
-                os._exit(1)
-            if action == "delay":
-                time.sleep(meta["delay_s"])
-            t_start = time.perf_counter()
-            values = [fn(a) for a in args]
-            span = dict(meta["span"], os_pid=os.getpid(), start_time=t_start,
-                        end_time=time.perf_counter())
-            payload = b"\x00" + pickle.dumps((values, span), protocol=pickle.HIGHEST_PROTOCOL)
-        except BaseException:
-            # every failure goes back to the driver, whose serial re-run
-            # raises it again with a real traceback
-            payload = b"\x01" + pickle.dumps(traceback.format_exc())
-        if action == "corrupt":
-            # injected bit-rot: ship bytes that cannot unpickle
-            payload = payload[:1] + b"\xde\xad\xbe\xef" + payload[1:9]
-        blob = meta = fn = args = values = None  # nothing of this chunk outlives it
-        try:
-            _send_frame(result_fd, payload)
+            send_frame(sock, reply)
         except OSError:
             return  # the driver is gone
 
@@ -358,20 +242,18 @@ def _worker_main(task_fd: int, result_fd: int, inherited: list,
 class _Worker:
     """The driver's handle on one pool worker."""
 
-    __slots__ = ("pid", "task_fd", "result_fd")
+    __slots__ = ("pid", "sock")
 
-    def __init__(self, pid: int, task_fd: int, result_fd: int) -> None:
+    def __init__(self, pid: int, sock: socket.socket) -> None:
         self.pid = pid
-        self.task_fd = task_fd
-        self.result_fd = result_fd
+        self.sock = sock
 
     def release(self, deadline: Optional[float]) -> None:
-        """Close the driver's pipe ends and reap the process: wait for it
-        to exit until ``deadline`` (``None``: no wait), then SIGKILL."""
-        with _spawn_lock:  # a pipe made meanwhile may reuse these numbers
-            for fd in (self.task_fd, self.result_fd):
-                _driver_fds.discard(fd)
-                _close_quietly(fd)
+        """Close the driver's socket end and reap the process: wait for
+        it to exit until ``deadline`` (``None``: no wait), then SIGKILL."""
+        with _spawn_lock:  # a socket made meanwhile may reuse this fd
+            _driver_socks.discard(self.sock)
+            self.sock.close()
         while True:
             try:
                 if os.waitpid(self.pid, os.WNOHANG)[0]:
@@ -417,21 +299,19 @@ class _Pool:
     def _fork(self) -> _Worker:
         driver_pid = os.getpid()
         with _spawn_lock:
-            task_r, task_w = os.pipe()
-            result_r, result_w = os.pipe()
+            driver_end, worker_end = socket.socketpair()
             pid = os.fork()
             if pid:
-                os.close(task_r)
-                os.close(result_w)
-                _driver_fds.update((task_w, result_r))
-                return _Worker(pid, task_w, result_r)
-        # the new worker: keep only its own two pipe ends
+                worker_end.close()
+                _driver_socks.add(driver_end)
+                return _Worker(pid, driver_end)
+        # the new worker: keep only its own end
         code = 1
         try:
-            for fd in _driver_fds | {task_w, result_r}:
-                _close_quietly(fd)
-            _driver_fds.clear()
-            _worker_main(task_r, result_w, self.inherited, self.blas_threads, driver_pid)
+            for sock in _driver_socks | {driver_end}:
+                sock.close()
+            _driver_socks.clear()
+            _worker_main(worker_end, self.inherited, self.blas_threads, driver_pid)
             code = 0
         finally:
             # hard exit: never run driver atexit/teardown in a worker
@@ -453,9 +333,9 @@ class _Pool:
         self.workers = [None] * len(self.workers)
         for worker in workers:
             try:
-                os.set_blocking(worker.task_fd, False)
-                _send_frame(worker.task_fd, b"")
-            except OSError:  # dead, or its pipe is full: SIGKILL below
+                worker.sock.setblocking(False)
+                send_msg(worker.sock, {"op": "stop"})
+            except OSError:  # dead, or its socket is full: SIGKILL below
                 pass
         deadline = time.monotonic() + _STOP_WAIT_S
         for worker in workers:
@@ -468,39 +348,28 @@ def _stop_pools_at_exit() -> None:  # pragma: no cover - interpreter teardown
         pool.close()
 
 
-class ProcessExecutor:
+class ProcessExecutor(ChunkDispatcher):
     """Run per-machine local work on a pool of forked OS processes.
 
     The pool is forked at the first parallel batch after :meth:`bind`
     and kept until :meth:`shutdown`; each worker inherits the bound
     cluster's metric chain, whose point matrix :meth:`bind` has already
-    moved into shared memory.  A batch writes one frame per strided
-    chunk down a worker's pipe — the task and that chunk's machines,
-    encoded with :mod:`repro.mpc.codec` — and reads the results back.
-    Each worker runs ``max(1, cpu_count // workers)`` BLAS threads (see
-    :mod:`repro.mpc.blas`), so the pool does not oversubscribe the
-    cores.  A batch over another metric than the pool's (one executor
-    bound to several clusters) replaces the pool.
+    moved into shared memory.  A batch is the
+    :class:`~repro.mpc.dispatch.ChunkDispatcher` loop: each wave writes
+    one frame per strided chunk to its worker's socket — the task and
+    that chunk's machines, encoded with :mod:`repro.mpc.codec` — before
+    it reads any answer.  Each worker runs ``max(1, cpu_count //
+    workers)`` BLAS threads (see :mod:`repro.mpc.blas`), so the pool
+    does not oversubscribe the cores.  A batch over another metric than
+    the pool's (one executor bound to several clusters) replaces the
+    pool.
 
-    Fault tolerance is layered (see ``docs/fault_tolerance.md``):
-
-    1. a chunk whose worker dies without reporting, or ships an
-       undecodable payload, is **re-executed alone** on a fresh fork of
-       that worker — healthy chunks' results are kept — up to
-       :attr:`chunk_retries` times;
-    2. beyond that (or when a task raises a real exception, which is
-       deterministic and not worth retrying, or cannot be pickled) the
-       whole batch **falls back to a serial re-run in the driver**, with
-       the reason appended to :attr:`degradations`.
-
-    Both rungs preserve bit-identity: workers never mutate driver
-    state, so re-executing a chunk (on a fresh worker or in the driver)
-    reproduces exactly what the lost worker would have returned, and
-    ``map_machines``'s RNG-state/oracle-delta replay then applies the
-    same synchronisation it always does.  :attr:`fallback_reason` keeps
-    its original meaning — a *permanent* platform degradation (no
-    ``fork()``), distinct from the per-batch entries in
-    :attr:`degradations`.
+    Its recovery ladder is the core's (see ``docs/fault_tolerance.md``):
+    a lost chunk — its worker died without reporting, or shipped an
+    undecodable payload — re-runs alone on a fresh fork of that worker,
+    and a batch the pool cannot finish re-runs serially in the driver.
+    :attr:`fallback_reason` is a *permanent* platform degradation (no
+    ``fork()``), distinct from the per-batch :attr:`degradations`.
 
     No worker outlives its owner: :meth:`shutdown` sends a stop frame,
     waits a bounded time and then uses SIGKILL; a collected executor and
@@ -523,6 +392,12 @@ class ProcessExecutor:
         degrades to a serial re-run.
     """
 
+    layer = "executor"
+    span_name = "exec/chunk"
+    retry_kind = "chunk_retry"
+    retry_target = "worker {slot} chunk {head}"
+    peers = "a pool worker"
+
     def __init__(
         self,
         max_workers: int | None = None,
@@ -530,29 +405,16 @@ class ProcessExecutor:
         faults=None,
         chunk_retries: int = 2,
     ) -> None:
-        # attributes first: __del__ must survive a failed env lookup below
+        # attributes first: __del__ must survive a failed check below
         self.max_workers = max_workers
-        self.fallback_reason: Optional[str] = None
         self._shared: List[SharedArray] = []
         self._pool: Optional[_Pool] = None
-        self._lock = threading.RLock()
         self._owner_pid = os.getpid()
-        if chunk_retries < 0:
-            raise ValueError(f"chunk_retries must be >= 0, got {chunk_retries}")
-        self.faults = faults
-        self.chunk_retries = chunk_retries
-        #: per-batch degradation reasons (serial re-runs taken and why)
-        self.degradations: List[str] = []
-        # recovery / injection counters (see recovery_stats())
-        self.faults_injected = 0
-        self.chunk_retries_used = 0
-        self.serial_fallbacks = 0
+        super().__init__(faults, chunk_retries)
         #: worker slots that died permanently (outlived the chunk retry
         #: budget) — subtracted from the parallelism this executor
         #: *reports*, so bench artifacts record the surviving pool
         self.workers_lost = 0
-        self._batch_no = 0
-        self._cluster_ref: Optional[weakref.ref] = None
         if not hasattr(os, "fork") or sys.platform in ("win32", "emscripten"):
             self.fallback_reason = f"fork() unavailable on {sys.platform}"
         if max_workers is None:
@@ -561,47 +423,16 @@ class ProcessExecutor:
     # -- lifecycle ----------------------------------------------------------
 
     def bind(self, cluster) -> None:
-        """Adopt a cluster: move its point matrix into shared memory and
-        keep a (weak) back-reference for fault/recovery observability.
+        """Adopt a cluster: move its point matrix into shared memory.
         A pool forked earlier is stopped, so the next parallel batch
         forks workers that inherit this cluster's metric."""
-        self._cluster_ref = weakref.ref(cluster)
+        super().bind(cluster)
         self._close_pool()
         if self.fallback_reason is not None:
             return
         handle = share_metric_points(cluster.metric)
         if handle is not None:
             self._shared.append(handle)
-
-    def set_fault_plan(self, faults) -> None:
-        """Install (or clear, with ``None``) the executor-layer fault plan."""
-        self.faults = faults
-
-    def recovery_stats(self) -> dict:
-        """Injection/recovery counters, for bench artifacts and the
-        service's job payloads."""
-        return {
-            "faults_injected": self.faults_injected,
-            "chunk_retries": self.chunk_retries_used,
-            "serial_fallbacks": self.serial_fallbacks,
-            "degradations": list(self.degradations),
-            "workers_lost": self.workers_lost,
-            "effective_workers": self.effective_workers(),
-        }
-
-    def _emit_fault(self, kind: str, injected: bool, target: str = "",
-                    attempt: int = 0, detail: str = "") -> None:
-        """Report a fault/recovery to the bound cluster's observers."""
-        cluster = self._cluster_ref() if self._cluster_ref is not None else None
-        if cluster is None:
-            return
-        cluster.obs.emit_fault(
-            FaultEvent(
-                layer="executor", kind=kind, injected=injected,
-                round_no=cluster.round_no, target=target,
-                attempt=attempt, detail=detail,
-            )
-        )
 
     def shutdown(self) -> None:
         """Stop the worker pool and unlink shared segments (mappings
@@ -633,9 +464,6 @@ class ProcessExecutor:
 
     # -- task execution -----------------------------------------------------
 
-    def _workers_for(self, count: int) -> int:
-        return max(1, min(self.max_workers or (os.cpu_count() or 1), count))
-
     def effective_workers(self, count: int | None = None) -> int:
         """Workers a ``count``-task batch can actually be trusted to.
 
@@ -652,255 +480,67 @@ class ProcessExecutor:
             return base
         return max(1, min(base, count))
 
-    def map_indexed(self, fn: Callable[[int], T], count: int) -> List[T]:
-        """Evaluate ``fn(i)`` for ``i in range(count)`` across the pool
-        workers, in index order; falls back to serial when parallelism
-        cannot help or cannot be trusted."""
-        if count <= 1 or self.fallback_reason is not None or self._workers_for(count) <= 1:
-            return [fn(i) for i in range(count)]
+    #: one batch on the pool, without the serial fallback: raises
+    #: :class:`~repro.mpc.dispatch._WorkerFailure` when the pool cannot finish
+    _fork_map = ChunkDispatcher._run_batch
+
+    def _width(self, count: int) -> int:
+        # one worker is no parallelism: such a batch runs in the driver
+        workers = min(self.max_workers or (os.cpu_count() or 1), count)
+        return workers if workers > 1 and self.fallback_reason is None else 0
+
+    def _assign(self, slots: List[int], attempt: int) -> list:
+        return slots  # a chunk's slot is its worker's
+
+    def _refs(self, batch) -> list:
+        return self._pool_for(batch.metric).refs
+
+    def _fault(self, plan, batch_no: int, slot: int, attempt: int) -> tuple:
+        return plan.worker_fault(batch_no, slot, attempt), plan.worker_delay_s
+
+    def _exhausted(self, lost_chunks: int) -> None:
+        # these worker slots died permanently: report the surviving pool
+        # from here on (see effective_workers)
+        self.workers_lost = max(self.workers_lost, lost_chunks)
+
+    def _run_wave(self, batch, frames) -> List[tuple]:
+        """Write each frame to its worker, then read every answer; a lost
+        worker is reaped, and the next wave forks its slot afresh."""
+        pool = self._pool_for(batch.metric)
         try:
-            return self._fork_map(fn, count)
-        except _WorkerFailure as exc:
-            # Workers never mutate driver state, so a clean re-run in the
-            # driver reproduces the exact result — or the real exception,
-            # with a real traceback.
-            self._record_serial_fallback(str(exc))
-            return [fn(i) for i in range(count)]
-
-    def map_machines(self, fn, machines: Sequence, metric=None) -> list:
-        """Machine-aware dispatch with state synchronisation.
-
-        Each worker returns ``(value, rng_state, oracle_deltas)`` for
-        its machines; the driver replays the RNG states and counter
-        deltas so a process run is bit-identical to a serial one — both
-        the algorithmic results and the CountingOracle ledger.
-        """
-        count = len(machines)
-        if count <= 1 or self.fallback_reason is not None or self._workers_for(count) <= 1:
-            return [fn(mach) for mach in machines]
-        try:
-            packed = self._fork_map(_MachineTask(fn, machines, metric), count)
-        except _WorkerFailure as exc:
-            self._record_serial_fallback(str(exc))
-            return [fn(mach) for mach in machines]
-        return _replay(packed, machines, metric)
-
-    def _record_serial_fallback(self, reason: str) -> None:
-        """A batch degraded to a serial driver re-run; remember why."""
-        self.serial_fallbacks += 1
-        self.degradations.append(reason)
-        self._emit_fault("serial_fallback", injected=False, detail=reason)
-        _log.warning(
-            "executor batch degraded to serial re-run",
-            extra={"reason": reason, "serial_fallbacks": self.serial_fallbacks},
-        )
-
-    def _fork_map(self, task: Callable[[int], T], count: int) -> List[T]:
-        """Run one strided index chunk per pool worker; gather over pipes.
-
-        Chunks whose worker dies without reporting or ships garbage are
-        re-run alone on a fresh fork of that worker — healthy chunks'
-        results are kept — up to :attr:`chunk_retries` times.  A task
-        that raises a real exception aborts immediately: it is
-        deterministic, and the serial fallback will reproduce it with a
-        full traceback.  :class:`_WorkerFailure` messages carry *every*
-        failed chunk's reason, not just the first.
-        """
-        workers = self._workers_for(count)
-        with self._lock:
-            self._batch_no += 1
-            batch_no = self._batch_no
-            if isinstance(task, _MachineTask):
-                metric = task.metric
-            else:
-                cluster = self._cluster_ref() if self._cluster_ref is not None else None
-                metric = cluster.metric if cluster is not None else None
-            pool = self._pool_for(metric)
-            chunks = [list(range(w, count, workers)) for w in range(workers)]
-            pending = [(w, chunk) for w, chunk in enumerate(chunks) if chunk]
-            results: List[T] = [None] * count  # type: ignore[list-item]
-            earlier_reasons: list[str] = []
-            attempt = 0
-            while True:
-                outcomes = self._run_chunks(pool, task, pending, batch_no, attempt)
-                fatal: list[str] = []
-                retryable: list[tuple[int, list[int]]] = []
-                reasons: list[str] = []
-                for (widx, chunk), (status, payload) in zip(pending, outcomes):
-                    if status == "ok":
-                        for i, value in zip(chunk, payload):
-                            results[i] = value
-                    elif status == "fatal":
-                        fatal.append(str(payload))
-                    else:  # "lost": died without reporting / undecodable payload
-                        reasons.append(str(payload))
-                        retryable.append((widx, chunk))
-                if fatal:
-                    raise _WorkerFailure("; ".join(fatal + reasons))
-                if not retryable:
-                    return results
-                if attempt >= self.chunk_retries:
-                    # these worker slots died permanently: report the
-                    # surviving pool from here on (see effective_workers)
-                    self.workers_lost = max(self.workers_lost, len(retryable))
-                    raise _WorkerFailure(
-                        "; ".join(earlier_reasons + reasons)
-                        + f" (chunk retry budget {self.chunk_retries} exhausted)"
-                    )
-                earlier_reasons.extend(reasons)
-                self.chunk_retries_used += len(retryable)
-                for (widx, chunk), reason in zip(retryable, reasons):
-                    self._emit_fault(
-                        "chunk_retry", injected=False,
-                        target=f"worker {widx} chunk {chunk[:3]}",
-                        attempt=attempt + 1, detail=reason,
-                    )
-                    _log.warning(
-                        "executor chunk lost; re-forking its worker",
-                        extra={"worker": widx, "batch": batch_no,
-                               "attempt": attempt + 1, "reason": reason},
-                    )
-                pending = retryable
-                attempt += 1
-
-    def _run_chunks(
-        self,
-        pool: _Pool,
-        task: Callable[[int], T],
-        pending: Sequence[Tuple[int, List[int]]],
-        batch_no: int,
-        attempt: int,
-    ) -> List[Tuple[str, object]]:
-        """Send each pending ``(worker_index, chunk)`` to its worker; gather.
-
-        Returns one ``(status, payload)`` per chunk, in order:
-        ``("ok", values)``, ``("fatal", traceback_text)`` for a task
-        exception, or ``("lost", reason)`` for a worker that died
-        without reporting or shipped an undecodable payload.  When a
-        fault plan is installed, its executor-layer faults are decided
-        here — in the driver, so observers see them — and enacted inside
-        the worker.
-
-        Every frame is encoded before any is sent, so a task that cannot
-        be pickled raises :class:`_WorkerFailure` with the pool untouched
-        (no worker is forked for it).  Each chunk's trace context is
-        derived in the driver (so the id tree is deterministic) and
-        travels in its frame; the worker returns a timed span record
-        alongside its values, which the driver merges into the bound
-        cluster's observers as an
-        :class:`~repro.obs.events.ExecSpanRecord`.
-        """
-        plan = self.faults
-        cluster = self._cluster_ref() if self._cluster_ref is not None else None
-        parent_ctx = cluster.obs.trace_parent() if cluster is not None else None
-        frames: List[bytes] = []
-        actions: list = []
-        for widx, chunk in pending:
-            chunk_ctx = (
-                parent_ctx.child("exec/chunk") if parent_ctx is not None else None
-            )
-            action = plan.worker_fault(batch_no, widx, attempt) if plan else None
-            span = {
-                "name": "exec/chunk",
-                "worker": widx,
-                "batch": batch_no,
-                "attempt": attempt,
-                "chunk_size": len(chunk),
-                "first_index": chunk[0],
-            }
-            if chunk_ctx is not None:
-                span["trace_id"] = chunk_ctx.trace_id
-                span["span_id"] = chunk_ctx.span_id
-                span["parent_span_id"] = chunk_ctx.parent_id
-            meta = {"inject": action, "span": span,
-                    "delay_s": plan.worker_delay_s if plan else 0.0}
-            fn, args = _chunk_payload(task, chunk)
-            try:
-                frames.append(dumps_task((meta, fn, args), pool.refs))
-            except Exception as exc:
-                raise _WorkerFailure(f"task cannot be sent to a pool worker: {exc!r}") from None
-            actions.append(action)
-
-        for (widx, chunk), action in zip(pending, actions):
-            if action is None:
-                continue
-            self.faults_injected += 1
-            kind = {"kill": "worker_kill", "corrupt": "payload_corrupt",
-                    "delay": "worker_delay"}[action]
-            self._emit_fault(
-                kind, injected=True,
-                target=f"worker {widx} chunk {chunk[:3]}",
-                attempt=attempt, detail=f"batch {batch_no}",
-            )
-            _log.info(
-                "executor fault injected",
-                extra={"kind": kind, "worker": widx,
-                       "batch": batch_no, "attempt": attempt},
-            )
-        try:
-            return self._exchange(pool, pending, frames, cluster)
+            sent = []
+            for frame in frames:
+                try:
+                    worker = pool.worker(frame.slot)
+                except OSError as exc:  # no fork possible right now
+                    raise _WorkerFailure(f"cannot fork a pool worker: {exc}") from None
+                try:
+                    send_msg(worker.sock, frame.request)
+                    sent.append(True)
+                except OSError:  # the worker died while idle: EPIPE
+                    sent.append(False)
+            outcomes = []
+            for frame, ok in zip(frames, sent):
+                worker = pool.workers[frame.slot]
+                try:
+                    reply = recv_frame(worker.sock) if ok else None
+                except (OSError, ProtocolError):
+                    reply = None
+                outcome = (read_reply(reply, worker.pid, frame.chunk) if reply is not None
+                           else lost(worker.pid, "died without reporting", frame.chunk))
+                if outcome[0] == "lost":
+                    pool.reap(frame.slot)
+                outcomes.append(outcome)
+            return outcomes
         except BaseException:
             # frames may be left unsent or unread: no later batch may
-            # share a pipe with this one, so the whole pool goes
+            # share a socket with this one, so the whole pool goes
             self._close_pool()
             raise
 
-    def _exchange(self, pool: _Pool, pending, frames, cluster) -> List[Tuple[str, object]]:
-        """Write each frame to its worker, then read every answer."""
-        sent = []
-        for (widx, _chunk), frame in zip(pending, frames):
-            try:
-                worker = pool.worker(widx)
-            except OSError as exc:  # no fork possible right now
-                raise _WorkerFailure(f"cannot fork a pool worker: {exc}") from None
-            try:
-                _send_frame(worker.task_fd, frame)
-                sent.append(True)
-            except OSError:  # the worker died while idle: EPIPE
-                sent.append(False)
-        outcomes: List[Tuple[str, object]] = []
-        for (widx, chunk), ok in zip(pending, sent):
-            worker = pool.workers[widx]
-            blob = _recv_frame(worker.result_fd) if ok else None
-            if not blob:
-                pool.reap(widx)
-                outcomes.append(
-                    ("lost", f"worker {worker.pid} died without reporting (chunk {chunk[:3]}…)")
-                )
-                continue
-            try:
-                data = pickle.loads(memoryview(blob)[1:])
-            except Exception:
-                pool.reap(widx)
-                outcomes.append(
-                    ("lost",
-                     f"worker {worker.pid} returned an undecodable payload (chunk {chunk[:3]}…)")
-                )
-                continue
-            if blob[0] != 0:
-                outcomes.append(("fatal", str(data)))
-            else:
-                values, span = data
-                if cluster is not None:
-                    cluster.obs.emit_exec_span(ExecSpanRecord(**span))
-                outcomes.append(("ok", values))
-        return outcomes
 
-
-#: canonical backend names accepted by the CLI and the solver facade
+#: backend names accepted by the CLI, the solver facade and job specs
 BACKENDS = ("serial", "thread", "process", "remote")
-
-_ALIASES = {
-    "serial": "serial",
-    "thread": "thread",
-    "threaded": "thread",
-    "threads": "thread",
-    "process": "process",
-    "processes": "process",
-    "fork": "process",
-    "remote": "remote",
-    "sockets": "remote",
-}
 
 
 def get_executor(
@@ -910,20 +550,19 @@ def get_executor(
 ):
     """Build an execution backend from its name.
 
-    ``backend`` is one of ``'serial'``, ``'thread'``/``'threaded'``,
-    ``'process'`` (alias ``'fork'``), or ``'remote'`` (alias
-    ``'sockets'``); an :class:`ExecutionBackend` instance passes
-    through unchanged.  ``workers`` carries remote worker addresses
-    (``'host:port,host:port'`` or a list) for the remote backend —
-    when omitted the :data:`~repro.mpc.remote.REMOTE_WORKERS_ENV_VAR`
-    environment variable is consulted; it is ignored by the local
-    backends.
+    ``backend`` is one of :data:`BACKENDS` — ``'serial'``, ``'thread'``,
+    ``'process'`` or ``'remote'``; an :class:`ExecutionBackend` instance
+    passes through unchanged.  ``workers`` carries remote worker
+    addresses (``'host:port,host:port'`` or a list) for the remote
+    backend — when omitted the
+    :data:`~repro.mpc.remote.REMOTE_WORKERS_ENV_VAR` environment
+    variable is consulted; it is ignored by the local backends.
     """
     if not isinstance(backend, str):
         if isinstance(backend, ExecutionBackend):
             return backend
         raise TypeError(f"not an execution backend: {backend!r}")
-    name = _ALIASES.get(backend.lower())
+    name = backend.lower()
     if name == "serial":
         return SerialExecutor()
     if name == "thread":
@@ -934,9 +573,7 @@ def get_executor(
         from repro.mpc.remote import RemoteExecutor  # avoid an import cycle
 
         return RemoteExecutor(workers, max_workers=max_workers)
-    aliases = sorted(set(_ALIASES) - set(BACKENDS))
     raise ValueError(
         f"unknown backend {backend!r}; valid backends: "
-        f"{', '.join(repr(b) for b in BACKENDS)} "
-        f"(aliases: {', '.join(repr(a) for a in aliases)})"
+        f"{', '.join(repr(b) for b in BACKENDS)}"
     )

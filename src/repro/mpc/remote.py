@@ -7,9 +7,10 @@ instead of forking local processes.  Robustness — not the transport —
 is the design center:
 
 * **Framed protocol.**  Every message is one length-prefixed frame
-  (8-byte big-endian length + pickled payload).  A truncated frame, a
-  closed socket, or an oversized header is a :class:`ProtocolError`,
-  never a hang or a partial read.
+  (8-byte big-endian length + pickled payload), the framing of
+  :mod:`repro.mpc.codec` that the process backend's pool uses too.  A
+  truncated frame, a closed socket, or an oversized header is a
+  :class:`ProtocolError`, never a hang or a partial read.
 * **Dataset cache.**  The point matrix is shipped **once per dataset
   fingerprint** per worker (the remote analogue of
   :mod:`repro.mpc.shm`); chunk payloads reference it by fingerprint
@@ -22,11 +23,12 @@ is the design center:
 * **Re-dispatch to survivors.**  Chunks from dead, unresponsive, or
   corrupt-responding workers are re-dispatched to surviving workers
   with exponential backoff and deterministic jitter, bounded by
-  ``chunk_retries`` — reasons aggregate in ``degradations`` /
-  ``recovery_stats()`` exactly like
-  :class:`~repro.mpc.executor.ProcessExecutor`.  A result that arrives
-  *after* its lease was forfeited is counted, not applied:
-  first-writer-wins.
+  ``chunk_retries``.  The batch loop — chunking, retry waves, fault
+  accounting, span merging, the first-writer-wins result gate — is the
+  :class:`~repro.mpc.dispatch.ChunkDispatcher` shared with
+  :class:`~repro.mpc.executor.ProcessExecutor`; this module is the
+  socket transport behind it.  A result that arrives *after* its lease
+  was forfeited is counted, not applied.
 * **Graceful degradation.**  When the whole pool is lost mid-run the
   batch falls to the local process backend, and from there to a serial
   driver re-run — the same ladder, one rung higher.
@@ -47,93 +49,25 @@ from __future__ import annotations
 
 import hashlib
 import os
-import pickle
 import socket
-import struct
 import sys
 import threading
 import time
-import traceback
-import weakref
-from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
+from concurrent.futures import ThreadPoolExecutor
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.mpc.codec import dumps_task, loads_task
-from repro.mpc.executor import (
-    ProcessExecutor,
-    _chunk_payload,
-    _MachineTask,
-    _replay,
-    workers_from_env,
-)
+from repro.mpc.codec import MissingReference, ProtocolError, recv_msg, send_msg
+from repro.mpc.dispatch import ChunkDispatcher, lost, read_reply, run_chunk
+from repro.mpc.executor import ProcessExecutor, workers_from_env
 from repro.mpc.shm import _unwrap
-from repro.obs.events import ExecSpanRecord, FaultEvent
 from repro.obs.logging import get_logger
-from repro.obs.tracing import TraceContext
-
-T = TypeVar("T")
 
 _log = get_logger("repro.mpc.remote")
 
 #: environment variable listing default remote worker addresses
 REMOTE_WORKERS_ENV_VAR = "REPRO_REMOTE_WORKERS"
-
-#: sanity cap on a single frame (a corrupted length header must not
-#: allocate gigabytes before failing)
-MAX_FRAME_BYTES = 1 << 31
-
-_HEADER = struct.Struct("!Q")
-
-
-class ProtocolError(Exception):
-    """A frame could not be read or written whole: truncated stream,
-    closed connection, or an implausible length header."""
-
-
-# -- framing ------------------------------------------------------------------
-
-
-def _recv_exact(sock: socket.socket, nbytes: int) -> bytes:
-    buf = bytearray()
-    while len(buf) < nbytes:
-        piece = sock.recv(min(1 << 16, nbytes - len(buf)))
-        if not piece:
-            raise ProtocolError(
-                f"connection closed mid-frame ({len(buf)}/{nbytes} bytes)"
-            )
-        buf += piece
-    return bytes(buf)
-
-
-def send_frame(sock: socket.socket, blob: bytes) -> None:
-    """Write one length-prefixed frame."""
-    sock.sendall(_HEADER.pack(len(blob)) + blob)
-
-
-def recv_frame(sock: socket.socket) -> bytes:
-    """Read one length-prefixed frame whole (or raise
-    :class:`ProtocolError`); ``socket.timeout`` propagates so callers
-    can implement leases."""
-    (length,) = _HEADER.unpack(_recv_exact(sock, _HEADER.size))
-    if length > MAX_FRAME_BYTES:
-        raise ProtocolError(f"frame length {length} exceeds {MAX_FRAME_BYTES}")
-    return _recv_exact(sock, length)
-
-
-def send_msg(sock: socket.socket, payload: dict) -> None:
-    send_frame(sock, pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
-
-
-def recv_msg(sock: socket.socket) -> dict:
-    blob = recv_frame(sock)
-    try:
-        payload = pickle.loads(blob)
-    except Exception as exc:
-        raise ProtocolError(f"undecodable frame: {exc}") from None
-    if not isinstance(payload, dict):
-        raise ProtocolError(f"expected a dict frame, got {type(payload).__name__}")
-    return payload
 
 
 def parse_worker_addresses(spec, *, allow_zero_port: bool = False) -> List[Tuple[str, int]]:
@@ -183,12 +117,6 @@ def workers_from_remote_env() -> List[Tuple[str, int]]:
 # on a miss.
 
 
-class _DatasetMiss(Exception):
-    def __init__(self, fingerprint: str) -> None:
-        super().__init__(f"dataset {fingerprint} not cached on this worker")
-        self.fingerprint = fingerprint
-
-
 def find_points_array(metric) -> Optional[np.ndarray]:
     """The metric's raw coordinate matrix, if it has one (same walk as
     :func:`repro.mpc.shm.share_metric_points`)."""
@@ -220,22 +148,21 @@ class WorkerAgent:
     :func:`~repro.mpc.executor.workers_from_env`), else the CPU count;
     slots bound how many chunks execute concurrently on this agent.
 
-    A ``run`` blob decodes to ``(fn, args)`` and the agent returns
-    ``[fn(a) for a in args]``; for ``map_machines`` work ``fn`` is the
-    process backend's per-machine task, which returns each machine's
-    value, RNG state and oracle deltas.
+    A ``run`` request carries one chunk of a
+    :class:`~repro.mpc.dispatch.ChunkDispatcher` batch, which the agent
+    runs with :func:`~repro.mpc.dispatch.run_chunk`, the chunk runner
+    of the process backend's pool workers too: its ``blob`` decodes to
+    ``(meta, fn, args)``, and the reply ``blob`` holds the values and
+    the timed span — or the task's traceback.
 
     Request vocabulary (one request per connection)::
 
         {"op": "ping"}                          -> {"ok", "pid", "slots", "python", "datasets"}
         {"op": "put_dataset", fingerprint,
          shape, dtype, blob}                    -> {"ok", "cached"}
-        {"op": "run", blob, batch, worker,
-         attempt, chunk, traceparent,
-         parent_span, inject, delay_s,
+        {"op": "run", blob, inject, delay_s,
          heartbeat_s}                           -> {"hb": n}* then
                                                    {"ok": True, "blob"} |
-                                                   {"ok": False, "fatal"} |
                                                    {"ok": False, "need_dataset"}
         {"op": "shutdown"}                      -> {"ok": True}
 
@@ -245,9 +172,10 @@ class WorkerAgent:
     :class:`~repro.faults.FaultPlan`, enacted here) arrive as
     ``inject``: ``"drop"`` closes the connection without a reply,
     ``"kill"`` terminates the agent (``os._exit`` for a dedicated
-    process, a permanent stop for an in-process agent), ``"corrupt"``
-    replies with an undecodable blob, and ``"delay"`` sleeps
-    ``delay_s`` before computing (heartbeats keep the lease alive).
+    process, a permanent stop for an in-process agent), and the chunk
+    runner enacts ``"corrupt"`` (an undecodable reply) and ``"delay"``
+    (a ``delay_s`` sleep before computing; heartbeats keep the lease
+    alive).
     """
 
     def __init__(
@@ -426,9 +354,10 @@ class WorkerAgent:
 
         def work() -> None:
             try:
-                if inject == "delay":
-                    time.sleep(float(request.get("delay_s", 0.0)))
-                reply.update(self._run_chunk(request))
+                with self._slots_sem:
+                    reply.update(ok=True, blob=run_chunk(request, self._cached_dataset))
+            except MissingReference as miss:
+                reply.update(ok=False, need_dataset=miss.args[0])
             finally:
                 done.set()
 
@@ -438,56 +367,19 @@ class WorkerAgent:
         while not done.wait(heartbeat_s):
             beats += 1
             send_msg(conn, {"hb": beats})  # OSError → peer gone → unwind
-        if inject == "corrupt":
-            send_msg(conn, {"ok": True, "blob": b"\xde\xad\xbe\xef"})
-            return
         send_msg(conn, reply)
 
     def _cached_dataset(self, pid) -> np.ndarray:
         """Resolve a ``("repro-dataset", fingerprint)`` codec reference;
-        :class:`_DatasetMiss` when this agent does not hold it."""
+        :class:`~repro.mpc.codec.MissingReference` when this agent does
+        not hold it."""
         kind, fingerprint = pid
         if kind != "repro-dataset":  # pragma: no cover - protocol guard
             raise ProtocolError(f"unknown persistent id {pid!r}")
         try:
             return self._datasets[fingerprint]
         except KeyError:
-            raise _DatasetMiss(fingerprint) from None
-
-    def _run_chunk(self, request: dict) -> dict:
-        with self._slots_sem:
-            try:
-                payload = loads_task(request["blob"], self._cached_dataset)
-            except _DatasetMiss as miss:
-                return {"ok": False, "need_dataset": miss.fingerprint}
-            except Exception:
-                return {"ok": False, "fatal": traceback.format_exc()}
-            t_start = time.perf_counter()
-            try:
-                fn, args = payload
-                values = [fn(a) for a in args]
-            except BaseException:
-                return {"ok": False, "fatal": traceback.format_exc()}
-            span = {
-                "name": "remote/chunk",
-                "worker": int(request["worker"]),
-                "batch": int(request["batch"]),
-                "attempt": int(request["attempt"]),
-                "chunk_size": len(request["chunk"]),
-                "first_index": int(request["chunk"][0]) if request["chunk"] else -1,
-                "os_pid": os.getpid(),
-                "start_time": t_start,
-                "end_time": time.perf_counter(),
-            }
-            ctx = TraceContext.from_traceparent(request.get("traceparent"))
-            if ctx is not None:
-                span["trace_id"] = ctx.trace_id
-                span["span_id"] = ctx.span_id
-                span["parent_span_id"] = request.get("parent_span")
-            return {
-                "ok": True,
-                "blob": pickle.dumps((values, span), protocol=pickle.HIGHEST_PROTOCOL),
-            }
+            raise MissingReference(fingerprint) from None
 
 
 # -- the driver side ----------------------------------------------------------
@@ -506,30 +398,14 @@ class _RemoteWorkerState:
         self.dispatched = 0
         self.lost = 0
 
-    @property
-    def label(self) -> str:
+    def __str__(self) -> str:  # the worker's label: host:port
         return f"{self.addr[0]}:{self.addr[1]}"
 
-    def mark_dead(self, reason: str) -> None:
-        self.alive = False
-        self.reason = reason
-
     def status(self) -> dict:
-        return {
-            "alive": self.alive,
-            "reason": self.reason,
-            "dispatched": self.dispatched,
-            "lost": self.lost,
-        }
+        return {key: getattr(self, key) for key in ("alive", "reason", "dispatched", "lost")}
 
 
-class _PoolFailure(Exception):
-    """The remote pool cannot finish the batch: every worker is dead,
-    the retry budget is exhausted, or the task cannot be shipped.  The
-    message aggregates every failed chunk's reason."""
-
-
-class RemoteExecutor:
+class RemoteExecutor(ChunkDispatcher):
     """Dispatch per-machine work to remote :class:`WorkerAgent`\\ s.
 
     Parameters
@@ -577,6 +453,12 @@ class RemoteExecutor:
     local ladder without re-probing sockets.
     """
 
+    layer = "remote"
+    span_name = "remote/chunk"
+    retry_kind = "chunk_redispatch"
+    retry_target = "chunk {slot} {head}"
+    peers = "remote workers"
+
     def __init__(
         self,
         workers=None,
@@ -591,61 +473,41 @@ class RemoteExecutor:
         backoff_s: float = 0.02,
         max_backoff_s: float = 0.5,
     ) -> None:
-        if chunk_retries < 0:
-            raise ValueError(f"chunk_retries must be >= 0, got {chunk_retries}")
+        super().__init__(faults, chunk_retries)
         addrs = parse_worker_addresses(workers) if workers is not None else workers_from_remote_env()
         if max_workers is not None:
             addrs = addrs[: max(1, int(max_workers))]
         self._workers: List[_RemoteWorkerState] = [_RemoteWorkerState(a) for a in addrs]
-        self.faults = faults
-        self.chunk_retries = int(chunk_retries)
         self.lease_s = float(lease_s)
         self.chunk_timeout_s = float(chunk_timeout_s)
         self.connect_timeout_s = float(connect_timeout_s)
         self.heartbeat_s = float(heartbeat_s)
         self.backoff_s = float(backoff_s)
         self.max_backoff_s = float(max_backoff_s)
-        #: permanent degradation off the remote pool (no addresses, or
-        #: every worker died); per-batch reasons live in degradations
-        self.fallback_reason: Optional[str] = None
         if not self._workers:
             self.fallback_reason = (
                 f"no remote workers configured (set {REMOTE_WORKERS_ENV_VAR} "
                 "or pass --workers HOST:PORT,...)"
             )
-        #: per-batch degradation reasons, ProcessExecutor-shaped
-        self.degradations: List[str] = []
-        self.faults_injected = 0
-        self.chunk_retries_used = 0
-        self.serial_fallbacks = 0
         # remote-specific counters (superset of the ProcessExecutor set)
         self.dispatched_chunks = 0
-        self.redispatched_chunks = 0
-        self.duplicate_results = 0
         self.datasets_shipped = 0
-        self.local_fallbacks = 0
-        self._batch_no = 0
         self._pinged = False
         self._dataset: Optional[Tuple[str, np.ndarray]] = None
-        self._cluster_ref: Optional[weakref.ref] = None
         self._local: Optional[ProcessExecutor] = None
-        self._lock = threading.Lock()
 
     # -- lifecycle ------------------------------------------------------------
 
     def bind(self, cluster) -> None:
         """Adopt a cluster: locate the point matrix for the dataset
-        cache, keep a weak back-reference for observability, and probe
-        the pool once."""
-        self._cluster_ref = weakref.ref(cluster)
+        cache, probe the pool once, and bind the local fallback too."""
+        super().bind(cluster)
         array = find_points_array(cluster.metric)
         if array is not None:
             self._dataset = (dataset_fingerprint(array), array)
         self._ping_pool()
-
-    def set_fault_plan(self, faults) -> None:
-        """Install (or clear, with ``None``) the fault plan."""
-        self.faults = faults
+        if self._local is not None:
+            self._local.bind(cluster)
 
     def shutdown(self) -> None:
         """Release the local fallback executor (idempotent).  Worker
@@ -656,24 +518,29 @@ class RemoteExecutor:
 
     def shutdown_agents(self) -> None:
         """Ask every still-alive agent to exit (best effort)."""
-        for worker in self._workers:
-            if not worker.alive:
-                continue
+        for worker in self._alive():
             try:
-                with socket.create_connection(
-                    worker.addr, timeout=self.connect_timeout_s
-                ) as sock:
-                    send_msg(sock, {"op": "shutdown"})
-                    sock.settimeout(self.connect_timeout_s)
-                    recv_msg(sock)
+                self._call(worker, {"op": "shutdown"}, self.connect_timeout_s)
             except (OSError, ProtocolError):
                 pass
-            worker.mark_dead("shut down by driver")
+            worker.alive, worker.reason = False, "shut down by driver"
+
+    def _call(self, worker: _RemoteWorkerState, request: dict, timeout: float) -> dict:
+        """One request and its reply, on a fresh connection."""
+        with socket.create_connection(worker.addr, timeout=self.connect_timeout_s) as sock:
+            sock.settimeout(timeout)
+            send_msg(sock, request)
+            return recv_msg(sock)
 
     # -- observability --------------------------------------------------------
 
     def _alive(self) -> List[_RemoteWorkerState]:
         return [w for w in self._workers if w.alive]
+
+    @property
+    def workers_lost(self) -> int:
+        """Agents declared dead."""
+        return sum(1 for w in self._workers if not w.alive)
 
     def effective_workers(self, count: int | None = None) -> int:
         """Workers a ``count``-task batch would actually run on: the
@@ -691,60 +558,39 @@ class RemoteExecutor:
             "configured": len(self._workers),
             "alive": len(self._alive()),
             "fallback_reason": self.fallback_reason,
-            "workers": {w.label: w.status() for w in self._workers},
+            "workers": {str(w): w.status() for w in self._workers},
         }
 
     def recovery_stats(self) -> dict:
         """Injection/recovery counters: the ProcessExecutor keys plus
         the remote pool's dispatch/recovery/liveness extras."""
-        return {
-            "faults_injected": self.faults_injected,
-            "chunk_retries": self.chunk_retries_used,
-            "serial_fallbacks": self.serial_fallbacks,
-            "degradations": list(self.degradations),
-            "dispatched_chunks": self.dispatched_chunks,
-            "redispatched_chunks": self.redispatched_chunks,
-            "duplicate_results": self.duplicate_results,
-            "datasets_shipped": self.datasets_shipped,
-            "local_fallbacks": self.local_fallbacks,
-            "workers_lost": sum(1 for w in self._workers if not w.alive),
-            "effective_workers": self.effective_workers(),
-            "workers": {w.label: w.status() for w in self._workers},
-        }
-
-    def _emit_fault(self, kind: str, injected: bool, target: str = "",
-                    attempt: int = 0, detail: str = "") -> None:
-        cluster = self._cluster_ref() if self._cluster_ref is not None else None
-        # bind() runs from the cluster constructor, before the hub
-        # exists — events from the initial pool probe are log-only
-        obs = getattr(cluster, "obs", None)
-        if obs is None:
-            return
-        obs.emit_fault(
-            FaultEvent(
-                layer="remote", kind=kind, injected=injected,
-                round_no=getattr(cluster, "round_no", -1), target=target,
-                attempt=attempt, detail=detail,
-            )
+        return dict(
+            super().recovery_stats(),
+            dispatched_chunks=self.dispatched_chunks,
+            redispatched_chunks=self.chunk_retries_used,
+            duplicate_results=self.duplicate_results,
+            datasets_shipped=self.datasets_shipped,
+            local_fallbacks=self.local_fallbacks,
+            workers={str(w): w.status() for w in self._workers},
         )
 
-    def _mark_dead(self, worker: _RemoteWorkerState, reason: str) -> None:
+    def _mark_dead(self, worker: _RemoteWorkerState, reason: str, cluster=None) -> None:
         if not worker.alive:
             return
-        worker.mark_dead(reason)
-        self._emit_fault("worker_lost", injected=False,
-                         target=worker.label, detail=reason)
+        worker.alive, worker.reason = False, reason
+        self._emit(cluster, "worker_lost", injected=False,
+                   target=str(worker), detail=reason)
         _log.warning(
             "remote worker lost",
-            extra={"worker": worker.label, "reason": reason,
+            extra={"worker": str(worker), "reason": reason,
                    "alive": len(self._alive())},
         )
         if not self._alive() and self.fallback_reason is None:
             reasons = "; ".join(
-                f"{w.label}: {w.reason}" for w in self._workers
+                f"{w}: {w.reason}" for w in self._workers
             )
             self.fallback_reason = f"remote pool lost ({reasons})"
-            self._emit_fault("pool_lost", injected=False, detail=self.fallback_reason)
+            self._emit(cluster, "pool_lost", injected=False, detail=self.fallback_reason)
 
     # -- local degradation ladder ---------------------------------------------
 
@@ -753,25 +599,11 @@ class RemoteExecutor:
             self._local = ProcessExecutor(
                 faults=self.faults, chunk_retries=self.chunk_retries
             )
-            cluster = self._cluster_ref() if self._cluster_ref is not None else None
-            if cluster is not None:
+            for cluster in self._bound():
                 self._local.bind(cluster)
         return self._local
 
-    def _record_degradation(self, reason: str) -> None:
-        self.degradations.append(reason)
-        local = self._local_executor()
-        if local.fallback_reason is None:
-            self.local_fallbacks += 1
-            self._emit_fault("local_fallback", injected=False, detail=reason)
-        else:
-            self.serial_fallbacks += 1
-            self._emit_fault("serial_fallback", injected=False, detail=reason)
-        _log.warning(
-            "remote batch degraded to local execution",
-            extra={"reason": reason, "ladder": "process"
-                   if local.fallback_reason is None else "serial"},
-        )
+    _next_rung = _local_executor
 
     # -- dispatch -------------------------------------------------------------
 
@@ -784,12 +616,7 @@ class RemoteExecutor:
         expected = tuple(sys.version_info[:2])
         for worker in self._workers:
             try:
-                with socket.create_connection(
-                    worker.addr, timeout=self.connect_timeout_s
-                ) as sock:
-                    sock.settimeout(self.lease_s)
-                    send_msg(sock, {"op": "ping"})
-                    reply = recv_msg(sock)
+                reply = self._call(worker, {"op": "ping"}, self.lease_s)
                 remote_py = tuple(reply.get("python", ()))
                 if remote_py != expected:
                     self._mark_dead(
@@ -800,354 +627,151 @@ class RemoteExecutor:
             except (OSError, ProtocolError) as exc:
                 self._mark_dead(worker, f"unreachable: {exc}")
 
-    def _retry_delay(self, attempt: int, key) -> float:
+    def _width(self, count: int) -> int:
+        self._ping_pool()
+        return 0 if self.fallback_reason is not None else min(len(self._alive()), count)
+
+    def _assign(self, slots: List[int], attempt: int) -> list:
+        # rotate: a re-dispatched chunk goes to another survivor
+        alive = self._alive()
+        return [alive[(slot + attempt) % len(alive)] for slot in slots] if alive else []
+
+    def _refs(self, batch) -> list:
+        dataset = self._dataset
+        return [(("repro-dataset", dataset[0]), dataset[1])] if dataset is not None else []
+
+    def _fault(self, plan, batch_no: int, slot: int, attempt: int) -> tuple:
+        return plan.remote_fault(batch_no, slot, attempt), plan.remote_delay_s
+
+    def _before_retry(self, batch_no: int, attempt: int) -> None:
         """Exponential backoff with deterministic ±25% jitter."""
         base = min(self.backoff_s * (2 ** attempt), self.max_backoff_s)
         digest = hashlib.blake2b(
-            repr((key, attempt)).encode(), digest_size=8
+            repr(((batch_no, "redispatch"), attempt)).encode(), digest_size=8
         ).digest()
         jitter = 0.75 + 0.5 * (int.from_bytes(digest, "big") / 2**64)
-        return min(base * jitter, self.max_backoff_s)
+        time.sleep(min(base * jitter, self.max_backoff_s))
 
-    def _ship_dataset(self, worker: _RemoteWorkerState) -> None:
-        """Ship the point matrix to one worker (once per fingerprint)."""
-        if self._dataset is None:
-            return
+    def _ship_dataset(self, worker: _RemoteWorkerState, cluster) -> Optional[Exception]:
+        """Ship the point matrix to one worker (once per fingerprint); a
+        worker that cannot take it is marked dead, and the error returned."""
         fingerprint, array = self._dataset
-        with socket.create_connection(
-            worker.addr, timeout=self.connect_timeout_s
-        ) as conn:
-            conn.settimeout(max(self.lease_s, self.chunk_timeout_s))
-            send_msg(conn, {
+        try:
+            reply = self._call(worker, {
                 "op": "put_dataset",
                 "fingerprint": fingerprint,
                 "shape": tuple(array.shape),
                 "dtype": str(array.dtype),
                 "blob": np.ascontiguousarray(array).tobytes(),
-            })
-            reply = recv_msg(conn)
-        if not reply.get("ok"):  # pragma: no cover - protocol guard
-            raise ProtocolError(f"put_dataset refused: {reply!r}")
+            }, max(self.lease_s, self.chunk_timeout_s))
+            if not reply.get("ok"):  # pragma: no cover - protocol guard
+                raise ProtocolError(f"put_dataset refused: {reply!r}")
+        except (OSError, ProtocolError) as exc:
+            self._mark_dead(worker, f"dataset ship failed: {exc}", cluster)
+            return exc
         worker.datasets.add(fingerprint)
         self.datasets_shipped += 1
+        return None
 
-    def _store_result(self, results: dict, chunk_no: int, values, lock) -> bool:
-        """First-writer-wins slot fill; duplicates are counted, not
-        applied (a re-dispatched chunk's late original result)."""
-        with lock:
-            if chunk_no in results:
-                self.duplicate_results += 1
-                self._emit_fault(
-                    "duplicate_result", injected=False,
-                    target=f"chunk {chunk_no}",
-                    detail="late result after lease forfeit; first writer kept",
-                )
-                return False
-            results[chunk_no] = values
-            return True
+    def _run_wave(self, batch, frames) -> List[tuple]:
+        """Fire the wave's chunks concurrently, each under its own lease,
+        so the wave lasts as long as its slowest chunk."""
+        for frame in frames:
+            worker = frame.worker
+            if worker.alive and self._dataset is not None and self._dataset[0] not in worker.datasets:
+                self._ship_dataset(worker, batch.cluster)
+        with ThreadPoolExecutor(len(frames)) as fire:
+            return list(fire.map(lambda frame: self._fire(batch, frame), frames))
 
-    def _dispatch_chunk(
-        self,
-        worker: _RemoteWorkerState,
-        request: dict,
-        results: dict,
-        chunk_no: int,
-        lock,
-    ) -> Tuple[str, object]:
-        """Send one chunk to one worker under a heartbeated lease.
+    def _fire(self, batch, frame) -> tuple:
+        worker = frame.worker
+        if not worker.alive:
+            return lost(worker, f"already dead: {worker.reason}", frame.chunk)
+        outcome = self._send_chunk(batch, frame)
+        if outcome[0] == "need_dataset":
+            # freshly restarted worker: its cache is cold — ship and
+            # re-send once, transparently
+            self._emit(batch.cluster, "dataset_reship", injected=False,
+                       target=str(worker), detail=f"cache miss for {outcome[1]}")
+            exc = self._ship_dataset(worker, batch.cluster)
+            if exc is not None:
+                return lost(worker, f"lost its dataset and could not be re-shipped: {exc}",
+                            frame.chunk)
+            outcome = self._send_chunk(batch, frame)
+        if outcome[0] == "lost" and frame.request["inject"] == "kill":
+            # the plan killed this agent; don't burn a retry probing its
+            # corpse next wave
+            self._mark_dead(worker, "injected worker kill", batch.cluster)
+        return outcome
 
-        Returns ``("ok", span_dict_or_None)``, ``("fatal", tb_text)``,
-        or ``("lost", reason)``.  Connect failures and lease expiry mark
+    def _send_chunk(self, batch, frame) -> tuple:
+        """Send one chunk to its worker under a heartbeated lease.
+
+        Returns the sorted reply, ``("need_dataset", fingerprint)``, or
+        ``("lost", reason)``.  Connect failures and lease expiry mark
         the worker dead; a dropped connection or corrupt payload only
         loses the chunk (the agent may well still be healthy).
         """
-        label = worker.label
-        chunk_head = request["chunk"][:3]
+        worker, chunk = frame.worker, frame.chunk
         try:
             sock = socket.create_connection(worker.addr, timeout=self.connect_timeout_s)
         except OSError as exc:
-            self._mark_dead(worker, f"connect failed: {exc}")
-            return ("lost", f"worker {label} unreachable: {exc} (chunk {chunk_head}…)")
+            self._mark_dead(worker, f"connect failed: {exc}", batch.cluster)
+            return lost(worker, f"unreachable: {exc}", chunk)
         worker.dispatched += 1
         self.dispatched_chunks += 1
         deadline = time.monotonic() + self.chunk_timeout_s
         try:
             sock.settimeout(self.lease_s)
-            send_msg(sock, request)
-            while True:
+            send_msg(sock, dict(frame.request, heartbeat_s=self.heartbeat_s))
+            reply = {"hb": 0}
+            while "hb" in reply:  # each heartbeat renews the lease
                 if time.monotonic() > deadline:
-                    worker.lost += 1
-                    self._mark_dead(worker, "chunk deadline exceeded")
-                    self._abandon(sock, results, chunk_no, label)
-                    return ("lost",
-                            f"worker {label} exceeded the {self.chunk_timeout_s}s "
-                            f"chunk deadline (chunk {chunk_head}…)")
+                    return self._forfeit(
+                        sock, batch, frame, "chunk deadline exceeded",
+                        f"exceeded the {self.chunk_timeout_s}s chunk deadline")
                 try:
                     reply = recv_msg(sock)
                 except socket.timeout:
-                    worker.lost += 1
-                    self._mark_dead(worker, f"lease expired ({self.lease_s}s without a heartbeat)")
-                    self._abandon(sock, results, chunk_no, label)
-                    return ("lost",
-                            f"worker {label} lease expired after {self.lease_s}s "
-                            f"(chunk {chunk_head}…)")
-                if "hb" in reply:
-                    continue  # lease renewed
-                break
+                    return self._forfeit(
+                        sock, batch, frame,
+                        f"lease expired ({self.lease_s}s without a heartbeat)",
+                        f"lease expired after {self.lease_s}s")
         except (OSError, ProtocolError) as exc:
             worker.lost += 1
             sock.close()
-            return ("lost",
-                    f"worker {label} connection lost: {exc} (chunk {chunk_head}…)")
+            return lost(worker, f"connection lost: {exc}", chunk)
         sock.close()
-        if reply.get("ok"):
-            try:
-                values, span = pickle.loads(reply["blob"])
-            except Exception:
+        if "blob" in reply:
+            outcome = read_reply(reply["blob"], worker, chunk)
+            if outcome[0] == "lost":
                 worker.lost += 1
-                return ("lost",
-                        f"worker {label} returned an undecodable payload "
-                        f"(chunk {chunk_head}…)")
-            stored = self._store_result(results, chunk_no, values, lock)
-            return ("ok", span if stored else None)
+            return outcome
         if "need_dataset" in reply:
             return ("need_dataset", reply["need_dataset"])
         return ("fatal", str(reply.get("fatal", "worker reported an unknown error")))
 
-    def _abandon(self, sock: socket.socket, results: dict, chunk_no: int, label: str) -> None:
-        """Keep listening on a forfeited chunk's socket in the
-        background: if the slow worker eventually answers, the late
-        result hits the first-writer-wins gate instead of a closed
-        port (and is counted as a duplicate)."""
-        lock = self._lock
+    def _forfeit(self, sock: socket.socket, batch, frame, why: str, what: str) -> tuple:
+        """The worker forfeits its lease and dies.  Its socket stays open
+        to a background reaper: if the slow worker eventually answers,
+        the late result hits the first-writer-wins gate instead of a
+        closed port (and is counted as a duplicate)."""
+        frame.worker.lost += 1
+        self._mark_dead(frame.worker, why, batch.cluster)
 
         def reap() -> None:
             try:
                 sock.settimeout(self.chunk_timeout_s)
-                while True:
+                reply = {"hb": 0}
+                while "hb" in reply:
                     reply = recv_msg(sock)
-                    if "hb" in reply:
-                        continue
-                    if reply.get("ok"):
-                        values, _span = pickle.loads(reply["blob"])
-                        self._store_result(results, chunk_no, values, lock)
-                    return
+                status, payload = read_reply(reply["blob"], frame.worker, frame.chunk)
+                if status == "ok":
+                    self._store(batch, frame.slot, payload[0])
             except Exception:
                 return
             finally:
                 sock.close()
 
         threading.Thread(target=reap, daemon=True).start()
-
-    def _remote_map(self, task, count: int) -> list:
-        """Strided chunks over the surviving pool, waves of dispatch
-        with bounded re-dispatch — the remote analogue of
-        ``ProcessExecutor._fork_map``."""
-        self._ping_pool()
-        alive = self._alive()
-        if not alive:
-            raise _PoolFailure(self.fallback_reason or "no live remote workers")
-        workers_n = min(len(alive), count)
-        self._batch_no += 1
-        batch_no = self._batch_no
-        plan = self.faults
-        cluster = self._cluster_ref() if self._cluster_ref is not None else None
-        parent_ctx = cluster.obs.trace_parent() if cluster is not None else None
-
-        chunks = [list(range(w, count, workers_n)) for w in range(workers_n)]
-        pending: List[Tuple[int, List[int]]] = [
-            (w, chunk) for w, chunk in enumerate(chunks) if chunk
-        ]
-        results: dict = {}
-        lock = self._lock
-        earlier_reasons: List[str] = []
-        attempt = 0
-        while True:
-            alive = self._alive()
-            if not alive:
-                raise _PoolFailure(
-                    "; ".join(earlier_reasons) or "no live remote workers"
-                )
-            # build and fire this wave concurrently; each dispatch holds
-            # its own lease, so the wave lasts as long as its slowest chunk
-            wave: List[Tuple[int, List[int], _RemoteWorkerState, dict]] = []
-            for widx, chunk in pending:
-                worker = alive[(widx + attempt) % len(alive)]
-                try:
-                    blob = self._build_blob(task, chunk)
-                except Exception as exc:
-                    raise _PoolFailure(
-                        f"task cannot be shipped to remote workers: {exc!r}"
-                    ) from None
-                action = plan.remote_fault(batch_no, widx, attempt) if plan else None
-                if action is not None:
-                    self.faults_injected += 1
-                    kind = {"drop": "connection_drop", "kill": "worker_kill",
-                            "corrupt": "payload_corrupt", "delay": "worker_delay"}[action]
-                    self._emit_fault(
-                        kind, injected=True,
-                        target=f"worker {worker.label} chunk {chunk[:3]}",
-                        attempt=attempt, detail=f"batch {batch_no}",
-                    )
-                    _log.info(
-                        "remote fault injected",
-                        extra={"kind": kind, "worker": worker.label,
-                               "batch": batch_no, "attempt": attempt},
-                    )
-                ctx = (
-                    parent_ctx.child("remote/chunk")
-                    if parent_ctx is not None else None
-                )
-                request = {
-                    "op": "run",
-                    "blob": blob,
-                    "batch": batch_no,
-                    "worker": widx,
-                    "attempt": attempt,
-                    "chunk": list(chunk),
-                    "traceparent": ctx.to_traceparent() if ctx is not None else None,
-                    "parent_span": ctx.parent_id if ctx is not None else None,
-                    "inject": action,
-                    "delay_s": plan.remote_delay_s if plan is not None else 0.0,
-                    "heartbeat_s": self.heartbeat_s,
-                }
-                if self._dataset is not None and self._dataset[0] not in worker.datasets:
-                    try:
-                        self._ship_dataset(worker)
-                    except (OSError, ProtocolError) as exc:
-                        self._mark_dead(worker, f"dataset ship failed: {exc}")
-                wave.append((widx, chunk, worker, request))
-
-            outcomes: List[Optional[Tuple[str, object]]] = [None] * len(wave)
-
-            def fire(i: int, widx: int, chunk: List[int],
-                     worker: _RemoteWorkerState, request: dict) -> None:
-                if not worker.alive:
-                    outcomes[i] = ("lost", f"worker {worker.label} already dead: "
-                                           f"{worker.reason} (chunk {chunk[:3]}…)")
-                    return
-                outcome = self._dispatch_chunk(worker, request, results, widx, lock)
-                if outcome[0] == "need_dataset":
-                    # freshly restarted worker: its cache is cold — ship
-                    # and re-send once, transparently
-                    self._emit_fault(
-                        "dataset_reship", injected=False, target=worker.label,
-                        detail=f"cache miss for {outcome[1]}",
-                    )
-                    try:
-                        self._ship_dataset(worker)
-                    except (OSError, ProtocolError) as exc:
-                        self._mark_dead(worker, f"dataset ship failed: {exc}")
-                        outcomes[i] = ("lost",
-                                       f"worker {worker.label} lost its dataset and "
-                                       f"could not be re-shipped: {exc}")
-                        return
-                    outcome = self._dispatch_chunk(worker, request, results, widx, lock)
-                if outcome[0] == "lost" and request.get("inject") == "kill":
-                    # the plan killed this agent; don't burn a retry
-                    # probing its corpse next wave
-                    self._mark_dead(worker, "injected worker kill")
-                outcomes[i] = outcome
-
-            threads = [
-                threading.Thread(target=fire, args=(i,) + entry, daemon=True)
-                for i, entry in enumerate(wave)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-
-            fatal: List[str] = []
-            retryable: List[Tuple[int, List[int]]] = []
-            reasons: List[str] = []
-            for (widx, chunk, worker, _request), outcome in zip(wave, outcomes):
-                status, payload = outcome
-                if status == "ok":
-                    if payload is not None and cluster is not None:
-                        cluster.obs.emit_exec_span(ExecSpanRecord(**payload))
-                elif status == "fatal":
-                    fatal.append(str(payload))
-                else:  # "lost"
-                    if widx in results:
-                        # a reaper salvaged the late result meanwhile
-                        continue
-                    reasons.append(str(payload))
-                    retryable.append((widx, chunk))
-            if fatal:
-                raise _PoolFailure("; ".join(fatal + reasons))
-            if not retryable:
-                return self._gather(results, chunks, count)
-            if attempt >= self.chunk_retries:
-                raise _PoolFailure(
-                    "; ".join(earlier_reasons + reasons)
-                    + f" (chunk retry budget {self.chunk_retries} exhausted)"
-                )
-            earlier_reasons.extend(reasons)
-            self.chunk_retries_used += len(retryable)
-            self.redispatched_chunks += len(retryable)
-            for (widx, chunk), reason in zip(retryable, reasons):
-                self._emit_fault(
-                    "chunk_redispatch", injected=False,
-                    target=f"chunk {widx} {chunk[:3]}",
-                    attempt=attempt + 1, detail=reason,
-                )
-                _log.warning(
-                    "remote chunk lost; re-dispatching to survivors",
-                    extra={"chunk": widx, "batch": batch_no,
-                           "attempt": attempt + 1, "reason": reason},
-                )
-            pending = retryable
-            attempt += 1
-            time.sleep(self._retry_delay(attempt, (batch_no, "redispatch")))
-
-    def _gather(self, results: dict, chunks: List[List[int]], count: int) -> list:
-        """Flatten per-chunk value lists back into task-index order."""
-        out: list = [None] * count
-        for chunk_no, chunk in enumerate(chunks):
-            if not chunk:
-                continue
-            values = results[chunk_no]
-            for i, value in zip(chunk, values):
-                out[i] = value
-        return out
-
-    def _build_blob(self, task, chunk: List[int]) -> bytes:
-        payload = _chunk_payload(task, chunk)
-        dataset = self._dataset
-        refs = [(("repro-dataset", dataset[0]), dataset[1])] if dataset is not None else []
-        return dumps_task(payload, refs)
-
-    # -- the ExecutionBackend surface ----------------------------------------
-
-    def map_indexed(self, fn: Callable[[int], T], count: int) -> List[T]:
-        """Evaluate ``fn(i)`` for ``i in range(count)`` across the pool,
-        in index order; degrades down the local ladder when the pool
-        cannot finish."""
-        if count <= 1:
-            return [fn(i) for i in range(count)]
-        if self.fallback_reason is not None or not self._alive():
-            return self._local_executor().map_indexed(fn, count)
-        try:
-            return self._remote_map(fn, count)
-        except _PoolFailure as exc:
-            self._record_degradation(str(exc))
-            return self._local_executor().map_indexed(fn, count)
-
-    def map_machines(self, fn, machines: Sequence, metric=None) -> list:
-        """Machine-aware dispatch with state synchronisation, shipped
-        over the wire: workers return ``(value, rng_state,
-        oracle_deltas)`` per machine, the driver replays them — a
-        remote run is bit-identical to a serial one, CountingOracle
-        ledger included."""
-        count = len(machines)
-        if count <= 1:
-            return [fn(mach) for mach in machines]
-        if self.fallback_reason is not None or not self._alive():
-            return self._local_executor().map_machines(fn, machines, metric=metric)
-        try:
-            packed = self._remote_map(_MachineTask(fn, machines, metric), count)
-        except _PoolFailure as exc:
-            self._record_degradation(str(exc))
-            return self._local_executor().map_machines(fn, machines, metric=metric)
-        return _replay(packed, machines, metric)
+        return lost(frame.worker, what, frame.chunk)

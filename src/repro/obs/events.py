@@ -220,12 +220,13 @@ class SpanRecord:
 class ExecSpanRecord:
     """One executor chunk, timed inside the worker that computed it.
 
-    The driver derives the chunk's trace context *before* dispatching;
-    the worker — a forked child of the process backend, or a socket
-    agent of the remote backend (then ``name`` is ``"remote/chunk"``
-    and the context travels as a ``traceparent`` header in the request
-    frame) — stamps ``start_time``/``end_time`` and ships the record
-    back with its results.  Merged into
+    The driver builds the record's metadata — trace context included —
+    *before* dispatching, and sends it inside the chunk's ``run`` blob
+    (see :mod:`repro.mpc.dispatch`); the worker — a forked child of the
+    process backend, or a socket agent of the remote backend (then
+    ``name`` is ``"remote/chunk"``) — stamps ``os_pid`` and
+    ``start_time``/``end_time`` and ships the record back with its
+    results.  Merged into
     :attr:`~repro.obs.record.RunLog.exec_spans`, these are the
     "child spans under distinct pids" of the Chrome export — kept apart
     from the algorithm-phase :class:`SpanRecord` list so serial,

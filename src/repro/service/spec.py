@@ -102,13 +102,13 @@ class JobSpec:
                 f"{', '.join(CONSTANT_PRESETS)}"
             )
         if self.backend is not None:
-            from repro.mpc.executor import _ALIASES
+            from repro.mpc.executor import BACKENDS
 
             self.backend = str(self.backend).lower()
-            if self.backend not in _ALIASES:
+            if self.backend not in BACKENDS:
                 raise ValueError(
                     f"unknown backend {self.backend!r}; expected one of "
-                    f"{', '.join(sorted(set(_ALIASES.values())))}"
+                    f"{', '.join(BACKENDS)}"
                 )
         if self.timeout_s is not None:
             self.timeout_s = float(self.timeout_s)

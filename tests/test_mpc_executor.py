@@ -183,11 +183,8 @@ class TestBackendProtocolAndFactory:
 
         assert isinstance(get_executor("serial"), SerialExecutor)
         assert isinstance(get_executor("thread"), ThreadedExecutor)
-        assert isinstance(get_executor("threaded"), ThreadedExecutor)
         assert isinstance(get_executor("process"), ProcessExecutor)
-        assert isinstance(get_executor("fork"), ProcessExecutor)
         assert isinstance(get_executor("remote"), RemoteExecutor)
-        assert isinstance(get_executor("sockets"), RemoteExecutor)
         assert set(BACKENDS) == {"serial", "thread", "process", "remote"}
 
     def test_factory_passthrough_and_errors(self):
@@ -210,7 +207,6 @@ class TestBackendProtocolAndFactory:
         message = str(exc.value)
         for name in BACKENDS:
             assert repr(name) in message
-        assert "'fork'" in message  # aliases listed too
 
 
 class TestWorkerCountConfiguration:
@@ -335,8 +331,8 @@ def _child_pids() -> set:
     return pids
 
 
-def _pipe_inodes(pid: int) -> set:
-    """The pipes a process holds open, as ``pipe:[inode]`` strings."""
+def _socket_inodes(pid: int) -> set:
+    """The sockets a process holds open, as ``socket:[inode]`` strings."""
     fd_dir = Path(f"/proc/{pid}/fd")
     out = set()
     for fd in fd_dir.iterdir():
@@ -344,7 +340,7 @@ def _pipe_inodes(pid: int) -> set:
             target = os.readlink(fd)
         except OSError:
             continue
-        if target.startswith("pipe:"):
+        if target.startswith("socket:"):
             out.add(target)
     return out
 
@@ -407,16 +403,18 @@ class TestProcessPool:
             assert results[k] == [[i + 100 * k for i in range(8)]] * 4
         pids = [_pool_pids(ex) for ex in executors]
         assert all(len(p) == 2 for p in pids)
-        # a worker holds its own two pipes and no other worker's, of
-        # either pool: each pipe has one reader and one writer, so a
-        # lost peer shows as EOF or EPIPE
-        pipes = {
-            w.pid: {os.readlink(f"/proc/self/fd/{fd}") for fd in (w.task_fd, w.result_fd)}
+        # a worker holds no driver-side socket end of any worker, of
+        # either pool: each socket pair has one end per side, so a lost
+        # peer shows as EOF or EPIPE
+        driver_ends = {
+            os.readlink(f"/proc/self/fd/{w.sock.fileno()}")
             for ex in executors for w in ex._pool.workers
         }
-        every_pipe = set().union(*pipes.values())
-        for pid, own in pipes.items():
-            assert _pipe_inodes(pid) & every_pipe == own
+        assert len(driver_ends) == 4
+        for pid in (pid for p in pids for pid in p):
+            held = _socket_inodes(pid)
+            assert held  # its own end
+            assert not held & driver_ends
         done = threading.Event()
 
         def stop():
@@ -559,3 +557,39 @@ class TestProcessPool:
         while any(alive(pid) for pid in pids) and time.monotonic() < deadline:
             time.sleep(0.05)
         assert not any(alive(pid) for pid in pids)
+
+
+class TestEventRouting:
+    """One executor bound to two clusters reports each batch to the
+    cluster whose machines it ran, not to the one bound last."""
+
+    @pytest.fixture
+    def executor(self, request):
+        if request.param == "process":
+            ex = _process_executor()
+            yield ex
+            ex.shutdown()
+            return
+        from repro.mpc.remote import RemoteExecutor, WorkerAgent
+
+        agents = [WorkerAgent(slots=1) for _ in range(2)]
+        ex = RemoteExecutor([a.start() for a in agents])
+        yield ex
+        ex.shutdown()
+        for agent in agents:
+            agent.stop()
+
+    @pytest.mark.parametrize("executor", ["process", "remote"], indirect=True)
+    def test_exec_spans_go_to_the_cluster_whose_batch_ran(self, rng, executor):
+        from repro.obs import Recorder
+
+        clusters = [
+            MPCCluster(EuclideanMetric(rng.normal(scale=3.0, size=(300, 2))), 4,
+                       seed=7, executor=executor)
+            for _ in range(2)
+        ]
+        logs = [Recorder.attach(c, capture_messages=False).log for c in clusters]
+        mpc_kcenter(clusters[0], 5, epsilon=0.2)
+        assert logs[0].exec_spans and logs[1].exec_spans == []
+        # every batch the executor ran left its spans in the first log
+        assert {e.batch for e in logs[0].exec_spans} == set(range(1, executor._batch_no + 1))

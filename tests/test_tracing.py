@@ -104,13 +104,14 @@ def points():
     return np.random.default_rng(0).normal(scale=2.0, size=(300, 2))
 
 
-def _traced_run(points, backend: str):
+def _traced_run(points, backend: str, workers=None):
     cluster = build_cluster(
         points,
         machines=4,
         seed=1,
         backend=backend,
-        max_workers=2,
+        max_workers=None if workers else 2,
+        workers=workers,
         trace=TraceContext.from_seed(5),
     )
     rec = Recorder.attach(cluster, capture_messages=False)
@@ -156,9 +157,22 @@ class TestSpanStamping:
 # -- cross-process merging (ISSUE satellite: bit-identical merged traces) ----
 
 
+@pytest.fixture
+def agents():
+    """Three in-process remote worker agents; stopped at teardown."""
+    from repro.mpc.remote import WorkerAgent
+
+    pool = [WorkerAgent() for _ in range(3)]
+    yield [a.start() for a in pool]
+    for a in pool:
+        a.stop()
+
+
 class TestProcessBackendMerging:
-    def test_exec_spans_merged_with_parent_links(self, points):
-        _, log = _traced_run(points, "process")
+    @pytest.mark.parametrize("backend", ["process", "remote"])
+    def test_exec_spans_merged_with_parent_links(self, points, backend, request):
+        workers = request.getfixturevalue("agents") if backend == "remote" else None
+        _, log = _traced_run(points, backend, workers)
         root = TraceContext.from_seed(5)
         assert log.exec_spans, "process run produced no executor chunk spans"
         parent_ids = {s.span_id for s in log.spans}
