@@ -203,28 +203,35 @@ def _degree_approx_body(
         active = active_by_machine[mach.id]
         # self-hits of every light vertex in one pass, not one per owner
         self_hit = np.split(np.isin(light_all, active).astype(np.int64), light_ends[:-1])
+        if active.size:
+            # one strict check for every owner's light vertices, not one
+            # per owner
+            mach.require_known(light_all)
+            mach.require_known(active)
         out = []
         for owner in range(m):
             L_o = light_by_machine[owner]
             if L_o.size and active.size:
-                cnt = mach.count_within(L_o, active, tau) - self_hit[owner]
+                cnt = mach.metric.count_within(L_o, active, tau) - self_hit[owner]
             else:
                 cnt = np.zeros(L_o.size, dtype=np.int64)
             out.append(cnt)
         return out
 
     per_machine_partials = cluster.map_machines(_partials)
-    partial_to_owner: dict[tuple[int, int], np.ndarray] = {}
+    light_sizes = [L_o.size for L_o in light_by_machine]
     for i in range(m):
-        for owner in range(m):
-            cnt = per_machine_partials[i][owner]
-            partial_to_owner[(i, owner)] = cnt
-            if i != owner:
-                cluster.send(i, owner, cnt.astype(np.float64), tag="degree/partials")
+        owners = [owner for owner in range(m) if owner != i]
+        if owners:
+            cluster.scatter(
+                i, owners,
+                np.concatenate([per_machine_partials[i][o] for o in owners]).astype(np.float64),
+                [light_sizes[o] for o in owners], tag="degree/partials",
+            )
     cluster.step()
     exact_light_deg_by_owner = [
         np.sum(
-            np.stack([partial_to_owner[(i, owner)] for i in range(m)]), axis=0
+            np.stack([per_machine_partials[i][owner] for i in range(m)]), axis=0
         )
         if light_by_machine[owner].size
         else np.zeros(0)

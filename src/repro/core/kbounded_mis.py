@@ -294,28 +294,22 @@ def _mis_outer_round(
 
             # machine i ships trim(S_i^j) to machine j (one round)
             for i in range(m):
-                for j in range(m):
-                    if i != j:
-                        cluster.send(
-                            i,
-                            j,
-                            PointBatch(
-                                local_trims[i][j],
-                                {"p": p[local_trims[i][j]], "tie": tie[local_trims[i][j]]},
-                            ),
-                            tag="mis/prune-exchange",
-                        )
-            inboxes = cluster.step()
+                others = [j for j in range(m) if j != i]
+                if others:
+                    ids = np.concatenate([local_trims[i][j] for j in others])
+                    cluster.scatter(
+                        i, others, PointBatch(ids, {"p": p[ids], "tie": tie[ids]}),
+                        [local_trims[i][j].size for j in others], tag="mis/prune-exchange",
+                    )
+            cluster.step()
 
-            # machine j assembles T_j = trim(union of trims)
+            # machine j assembles T_j = trim(union of trims), its own trim
+            # first and then the received ones in sender order
             best_T = np.zeros(0, dtype=np.int64)
             tj_payload: dict[int, PointBatch] = {}
             for j in range(m):
-                parts = [local_trims[j][j]]
-                for msg in inboxes[j]:
-                    if msg.tag == "mis/prune-exchange":
-                        parts.append(msg.payload.ids)
-                union = np.concatenate(parts) if parts else np.zeros(0, np.int64)
+                parts = [local_trims[j][j]] + [local_trims[i][j] for i in range(m) if i != j]
+                union = np.concatenate(parts)
                 T_j = trim(cluster.machines[j], union, tau, p, tie, mode=trim_mode)
                 T_j = T_j[:k]  # a k-subset suffices and caps communication
                 tj_payload[j] = PointBatch(T_j)
@@ -341,27 +335,25 @@ def _mis_outer_round(
     else:
         with cluster.obs.span("mis/luby"):
             # -- lines 10–16: ship samples to central, compress m Luby rounds ----
+            # machine i sends its m samples as m messages; the j column
+            # names the sample each point belongs to
             for i in range(m):
-                for j in range(m):
-                    batch = sample_sets[i][j]
-                    cluster.send(
-                        cluster.machines[i].id,
-                        cluster.CENTRAL,
-                        PointBatch(batch, {"p": p[batch], "tie": tie[batch], "j": np.full(batch.size, j)}),
-                        tag="mis/samples",
-                    )
-            inboxes = cluster.step()
+                ids = np.concatenate(sample_sets[i])
+                sizes = [batch.size for batch in sample_sets[i]]
+                jcol = np.repeat(np.arange(m), sizes)
+                cluster.scatter(
+                    i, [cluster.CENTRAL] * m,
+                    PointBatch(ids, {"p": p[ids], "tie": tie[ids], "j": jcol}),
+                    sizes, tag="mis/samples",
+                )
+            cluster.step()
 
-            union_by_j: List[List[np.ndarray]] = [[] for _ in range(m)]
-            for msg in inboxes[cluster.CENTRAL]:
-                if msg.tag != "mis/samples":
-                    continue
-                ids = msg.payload.ids
-                jcol = msg.payload.columns["j"].astype(np.int64)
-                for j in range(m):
-                    sel = ids[jcol == j]
-                    if sel.size:
-                        union_by_j[j].append(sel)
+            # S_j as the central machine received it: sample j of every
+            # machine, in sender order
+            union_by_j: List[List[np.ndarray]] = [
+                [sample_sets[i][j] for i in range(m) if sample_sets[i][j].size]
+                for j in range(m)
+            ]
 
             central = cluster.central
             removed = np.zeros(n, dtype=bool)

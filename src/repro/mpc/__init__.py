@@ -30,7 +30,7 @@ from repro.mpc.remote import (
     WorkerAgent,
     parse_worker_addresses,
 )
-from repro.mpc.trace import MessageTrace, TraceEvent
+from repro.mpc.trace import MessageTrace
 from repro.mpc.machine import Machine
 from repro.mpc.message import Ids, Message, PointBatch, payload_words
 from repro.mpc.limits import Limits
@@ -61,7 +61,6 @@ __all__ = [
     "parse_worker_addresses",
     "get_executor",
     "MessageTrace",
-    "TraceEvent",
     "ClusterStats",
     "RoundStats",
     "random_partition",

@@ -13,13 +13,25 @@ Every ``step()`` is one MPC round: queued messages are charged to
 senders and receivers, limits (if any) are enforced, receivers learn the
 points carried by :class:`~repro.mpc.message.PointBatch` payloads, and
 the round counter advances.  Helper wrappers (:meth:`broadcast`,
-:meth:`gather_to_central`, …) express the collective patterns the
-paper's algorithms use.
+:meth:`scatter`, :meth:`gather_to_central`, …) express the collective
+patterns the paper's algorithms use.
+
+The collectives are array-native.  One call queues one outbox entry per
+sender, however many (src, dst) messages it stands for: the sender's
+points are range- and strict-checked once, words are charged with
+numpy, and every known mask lives in one ``m × n`` boolean array (the
+machines' ``_known`` masks are its rows), so a round teaches each
+receiver set with one assignment.  :class:`~repro.mpc.message.Message`
+envelopes are built only for an inbox a caller reads, and per-message
+observer events only while an observer that wants them is attached;
+both are synthesised in the order, and with the words, that one
+``send()`` per pair would give.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional
+from collections.abc import Mapping
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -30,7 +42,7 @@ from repro.mpc.accounting import ClusterStats, RoundStats
 from repro.mpc.limits import Limits
 from repro.mpc.executor import SerialExecutor
 from repro.mpc.machine import Machine
-from repro.mpc.message import Message, PointBatch
+from repro.mpc.message import Message, PointBatch, payload_words
 from repro.mpc.partition import random_partition
 from repro.obs.events import FaultEvent
 from repro.obs.logging import get_logger
@@ -49,6 +61,99 @@ def _iter_point_batches(payload: Any):
     elif isinstance(payload, (tuple, list)):
         for v in payload:
             yield from _iter_point_batches(v)
+
+
+def _slice(payload: Any, lo: int, hi: int) -> Any:
+    """Items ``lo:hi`` of a scattered payload (points with their columns,
+    or array entries)."""
+    if isinstance(payload, PointBatch):
+        return PointBatch(payload.ids[lo:hi],
+                          {name: col[lo:hi] for name, col in payload.columns.items()})
+    return payload[lo:hi]
+
+
+class _Post:
+    """One outbox entry: the messages one sender queued in one call.
+
+    Message ``k`` goes to ``dsts[k]`` and costs ``words[k]``.  Without
+    ``sizes`` every message carries the whole ``payload`` and every
+    receiver learns all of ``teach``; with ``sizes`` message ``k``
+    carries the ``k``-th consecutive slice of ``payload`` and its
+    receiver learns that slice of ``teach``.
+    """
+
+    __slots__ = ("src", "dsts", "words", "tag", "payload", "teach", "sizes", "_messages")
+
+    def __init__(self, src: int, dsts: np.ndarray, words: np.ndarray, tag: str,
+                 payload: Any, teach: Optional[np.ndarray] = None,
+                 sizes: Optional[np.ndarray] = None) -> None:
+        self.src = src
+        self.dsts = dsts
+        self.words = words
+        self.tag = tag
+        self.payload = payload
+        self.teach = teach
+        self.sizes = sizes
+        self._messages: Optional[List[Message]] = None
+
+    def messages(self) -> List[Message]:
+        """The envelopes this entry stands for, built on first use."""
+        if self._messages is None:
+            src, tag, payload = self.src, self.tag, self.payload
+            dsts = self.dsts.tolist()
+            if self.sizes is None:
+                self._messages = [Message(src, dst, payload, tag) for dst in dsts]
+            else:
+                ends = np.cumsum(self.sizes).tolist()
+                starts = [0] + ends[:-1]
+                self._messages = [Message(src, dst, _slice(payload, lo, hi), tag)
+                                  for dst, lo, hi in zip(dsts, starts, ends)]
+        return self._messages
+
+    def learn(self, known: np.ndarray) -> bool:
+        """Teach every receiver the points its message carries; False
+        when the entry carries none."""
+        if self.teach is None or not self.teach.size:
+            return False
+        if self.sizes is None:
+            known[np.ix_(self.dsts, self.teach)] = True
+        else:
+            known[np.repeat(self.dsts, self.sizes), self.teach] = True
+        return True
+
+
+class Inboxes(Mapping):
+    """What one :meth:`MPCCluster.step` delivered: ``{machine_id:
+    [messages...]}`` with every machine id present.
+
+    A machine's :class:`~repro.mpc.message.Message` list is built the
+    first time it is read, in delivery order, so a round whose inboxes
+    nobody reads builds no envelopes at all.
+    """
+
+    def __init__(self, posts: List[_Post], m: int) -> None:
+        self._posts = posts
+        self._m = m
+        self._boxes: Dict[int, List[Message]] = {}
+
+    def __getitem__(self, dst) -> List[Message]:
+        box = self._boxes.get(dst)
+        if box is None:
+            if not (isinstance(dst, (int, np.integer)) and 0 <= dst < self._m):
+                raise KeyError(dst)
+            box = [msg for post in self._posts if (post.dsts == dst).any()
+                   for msg in post.messages() if msg.dst == dst]
+            self._boxes[dst] = box
+        return box
+
+    def __iter__(self):
+        return iter(range(self._m))
+
+    def __len__(self) -> int:
+        return self._m
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"Inboxes({dict(self)!r})"
 
 
 class MPCCluster:
@@ -130,10 +235,19 @@ class MPCCluster:
             Machine(i, metric, partition[i], streams[i], strict=strict)
             for i in range(self.m)
         ]
+        #: every machine's known mask, one row each; the machines' own
+        #: ``_known`` masks are views of their rows, so a round teaches a
+        #: whole receiver set with one assignment
+        self._known = np.zeros((self.m, metric.n), dtype=bool)
+        for mach in self.machines:
+            self._known[mach.id] = mach._known
+            mach._known = self._known[mach.id]
+        #: per sender, every other machine id (a broadcast's receivers)
+        self._others = [np.delete(np.arange(self.m), src) for src in range(self.m)]
         self.stats = ClusterStats(num_machines=self.m)
         #: observability hub: event hooks + phase spans (see repro.obs)
         self.obs = ObserverHub(self)
-        self._outbox: List[Message] = []
+        self._outbox: List[_Post] = []
         self.round_no = 0
         self._check_memory()
 
@@ -230,6 +344,26 @@ class MPCCluster:
 
     # -- messaging ---------------------------------------------------------------
 
+    def _post(self, post: _Post) -> None:
+        """Queue one entry; observers that want messages hear of each
+        envelope it stands for, in order."""
+        self._outbox.append(post)
+        if self.obs.wants_messages:
+            for msg in post.messages():
+                self.obs.emit_send(msg)
+
+    def _queue(self, src: int, dsts: np.ndarray, payload: Any, tag: str) -> None:
+        """Queue ``payload`` from ``src`` to each of ``dsts``, with one
+        strict check of the points it carries and one word count."""
+        batches = list(_iter_point_batches(payload))
+        teach = None
+        if batches:
+            teach = np.concatenate([b.ids for b in batches]) if len(batches) > 1 else batches[0].ids
+            if self.strict:
+                self.machines[src].require_known(teach)
+        words = payload_words(payload, self.metric.point_words())
+        self._post(_Post(src, dsts, np.full(dsts.size, words, dtype=np.int64), tag, payload, teach))
+
     def send(self, src: int, dst: int, payload: Any, tag: str = "") -> None:
         """Queue a message for delivery at the next :meth:`step`.
 
@@ -238,43 +372,76 @@ class MPCCluster:
         """
         if not (0 <= src < self.m and 0 <= dst < self.m):
             raise ValueError("machine id out of range")
-        if self.strict:
-            for batch in _iter_point_batches(payload):
-                self.machines[src].require_known(batch.ids)
-        msg = Message(src=src, dst=dst, payload=payload, tag=tag)
-        self._outbox.append(msg)
-        self.obs.emit_send(msg)
+        self._queue(src, np.array([dst], dtype=np.int64), payload, tag)
 
     def broadcast(self, src: int, payload: Any, tag: str = "", include_self: bool = False) -> None:
-        """Queue the same payload from ``src`` to every (other) machine."""
-        for dst in range(self.m):
-            if dst == src and not include_self:
-                continue
-            self.send(src, dst, payload, tag=tag)
+        """Queue the same payload from ``src`` to every (other) machine:
+        one message per receiver, one strict check and one word count."""
+        if not 0 <= src < self.m:
+            raise ValueError("machine id out of range")
+        dsts = np.arange(self.m) if include_self else self._others[src]
+        if dsts.size:
+            self._queue(src, dsts, payload, tag)
 
-    def step(self) -> Dict[int, List[Message]]:
+    def scatter(self, src: int, dsts: Sequence[int], payload: Any, sizes: Sequence[int],
+                tag: str = "") -> None:
+        """Queue ``len(dsts)`` messages from ``src`` that carry consecutive
+        slices of one payload: message ``k`` goes to ``dsts[k]`` with the
+        next ``sizes[k]`` points of a :class:`PointBatch` (ids and
+        columns) or the next ``sizes[k]`` entries of an array.
+
+        Accounts exactly as one :meth:`send` per slice would — the same
+        words, messages, learned points and observer events — with one
+        strict check for all of the sender's points.
+        """
+        dsts = np.asarray(dsts, dtype=np.int64).reshape(-1)
+        sizes = np.asarray(sizes, dtype=np.int64).reshape(-1)
+        if sizes.size != dsts.size:
+            raise ValueError("scatter needs one size per destination")
+        if not dsts.size:
+            return
+        if not (0 <= src < self.m and 0 <= dsts.min() and dsts.max() < self.m):
+            raise ValueError("machine id out of range")
+        if isinstance(payload, PointBatch):
+            per_item = 1 + self.metric.point_words() + len(payload.columns)
+            length, teach = payload.ids.size, payload.ids
+            if self.strict:
+                self.machines[src].require_known(teach)
+        else:
+            payload = np.asarray(payload)
+            per_item = int(np.prod(payload.shape[1:], dtype=np.int64))
+            length, teach = payload.shape[0], None
+        if int(sizes.sum()) != length or (sizes < 0).any():
+            raise ValueError("scatter sizes must split the payload exactly")
+        self._post(_Post(src, dsts, sizes * per_item, tag, payload, teach, sizes=sizes))
+
+    def step(self) -> Inboxes:
         """Round barrier: deliver all queued messages.
 
         Returns the inboxes, ``{machine_id: [messages...]}`` (every
-        machine id present, possibly with an empty list).  Charges each
-        message to sender and receiver, enforces limits, and teaches
-        receivers the points in PointBatch payloads.
+        machine id present, possibly with an empty list; each list is
+        built when first read).  Charges each message to sender and
+        receiver, enforces limits, and teaches receivers the points in
+        PointBatch payloads.
         """
         self.round_no += 1
         self.obs.emit_round_start(self.round_no)
+        posts, self._outbox = self._outbox, []
         sent = np.zeros(self.m, dtype=np.int64)
         received = np.zeros(self.m, dtype=np.int64)
-        inboxes: Dict[int, List[Message]] = {i: [] for i in range(self.m)}
-        pw = self.metric.point_words()
-
-        for msg in self._outbox:
-            w = msg.words(pw)
-            sent[msg.src] += w
-            received[msg.dst] += w
-            inboxes[msg.dst].append(msg)
-            for batch in _iter_point_batches(msg.payload):
-                self.machines[msg.dst].learn(batch.ids)
-            self.obs.emit_message(self.round_no, msg.src, msg.dst, msg.tag, w)
+        messages = 0
+        taught = False
+        if posts:
+            for post in posts:
+                sent[post.src] += int(post.words.sum())
+                messages += post.dsts.size
+                taught |= post.learn(self._known)
+            np.add.at(received, np.concatenate([post.dsts for post in posts]),
+                      np.concatenate([post.words for post in posts]))
+            if self.obs.wants_messages:
+                for post in posts:
+                    for dst, w in zip(post.dsts.tolist(), post.words.tolist()):
+                        self.obs.emit_message(self.round_no, post.src, dst, post.tag, w)
 
         if self.limits is not None:
             for i in range(self.m):
@@ -284,20 +451,23 @@ class MPCCluster:
             round_no=self.round_no,
             sent=sent,
             received=received,
-            messages=len(self._outbox),
+            messages=messages,
         )
         self.stats.record_round(round_stats)
-        self._outbox = []
-        self._check_memory()
+        if taught or self.limits is not None:
+            self._check_memory()
         self.obs.emit_round_end(round_stats)
-        return inboxes
+        return Inboxes(posts, self.m)
 
     def _check_memory(self) -> None:
-        peak = max(mach.known_count for mach in self.machines)
-        self.stats.peak_known_points = max(self.stats.peak_known_points, peak)
+        # a flat count per row is several times faster than one
+        # count_nonzero(axis=1) over the whole array
+        counts = [int(np.count_nonzero(row)) for row in self._known]
+        self.stats.peak_known_points = max(self.stats.peak_known_points, max(counts))
         if self.limits is not None:
+            pw = self.metric.point_words()
             for mach in self.machines:
-                self.limits.check_memory(mach.id, mach.known_words())
+                self.limits.check_memory(mach.id, counts[mach.id] * pw)
 
     # -- collective helpers ---------------------------------------------------------
 
@@ -320,9 +490,7 @@ class MPCCluster:
         After this, every machine knows the union of all batches.
         """
         for src, ids in ids_by_src.items():
-            for dst in range(self.m):
-                if dst != src:
-                    self.send(src, dst, PointBatch(ids), tag=tag)
+            self.broadcast(src, PointBatch(ids), tag=tag)
         self.step()
 
     def central_knows(self, ids: Iterable[int]) -> bool:

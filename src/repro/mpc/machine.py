@@ -1,9 +1,12 @@
 """A simulated MPC machine.
 
 A :class:`Machine` owns a partition of the input ids, a *known-point*
-mask (its partition plus every point it has received), a private
-key-value store for algorithm state, and a private RNG stream spawned
-deterministically from the cluster seed.
+mask (its partition plus every point it has received), and a private
+RNG stream spawned deterministically from the cluster seed.  Inside an
+:class:`~repro.mpc.cluster.MPCCluster` the mask is a row of the
+cluster's ``m × n`` known array: the cluster teaches received points
+and measures memory for all machines at once, while the machine keeps
+reading and checking its own row.
 
 All local distance computation goes through the machine's metric
 helpers (:meth:`pairwise`, :meth:`dist_to_set`, …), which in strict mode
@@ -13,7 +16,7 @@ catches algorithms that accidentally peek at remote data.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -53,7 +56,6 @@ class Machine:
         self.local_ids = np.asarray(local_ids, dtype=np.int64).copy()
         self.rng = rng
         self.strict = strict
-        self.store: Dict[str, Any] = {}
         self._known = np.zeros(metric.n, dtype=bool)
         self._known[self.local_ids] = True
 

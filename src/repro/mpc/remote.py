@@ -11,11 +11,14 @@ is the design center:
   :mod:`repro.mpc.codec` that the process backend's pool uses too.  A
   truncated frame, a closed socket, or an oversized header is a
   :class:`ProtocolError`, never a hang or a partial read.
-* **Dataset cache.**  The point matrix is shipped **once per dataset
-  fingerprint** per worker (the remote analogue of
-  :mod:`repro.mpc.shm`); chunk payloads reference it by fingerprint
-  through pickle persistent ids.  A freshly restarted worker answers
-  ``need_dataset`` and the driver re-ships transparently.
+* **Dataset cache.**  What a batch's base metric holds — the point
+  matrix and the arrays derived from it at construction, such as the
+  Euclidean squared norms — is shipped **once per dataset fingerprint**
+  per worker (the remote analogue of :mod:`repro.mpc.shm`); chunk
+  payloads reference those arrays by fingerprint through pickle
+  persistent ids.  The dataset is the one of the batch's own metric
+  chain, whichever cluster was bound last.  A freshly restarted worker
+  answers ``need_dataset`` and the driver re-ships transparently.
 * **Leases and heartbeats.**  A dispatched chunk holds a lease of
   :attr:`RemoteExecutor.lease_s`; the executing worker heartbeats while
   it computes, each beat renewing the lease up to a hard per-chunk
@@ -53,8 +56,9 @@ import socket
 import sys
 import threading
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -111,27 +115,36 @@ def workers_from_remote_env() -> List[Tuple[str, int]]:
 # -- task shipping ------------------------------------------------------------
 #
 # Tasks travel through the closure codec of :mod:`repro.mpc.codec`.  The
-# point matrix additionally travels as a persistent reference to its
-# fingerprint, so a chunk payload never embeds the dataset — the worker
-# resolves the fingerprint from its cache and answers ``need_dataset``
-# on a miss.
+# arrays of the base metric additionally travel as persistent references
+# to their dataset's fingerprint, so a chunk payload never embeds the
+# dataset — the worker resolves the fingerprint from its cache and
+# answers ``need_dataset`` on a miss.
 
 
-def find_points_array(metric) -> Optional[np.ndarray]:
-    """The metric's raw coordinate matrix, if it has one (same walk as
-    :func:`repro.mpc.shm.share_metric_points`)."""
-    for layer in _unwrap(metric):
-        data = getattr(getattr(layer, "points", None), "_data", None)
-        if isinstance(data, np.ndarray):
-            return data
-    return None
+def base_arrays(metric) -> tuple:
+    """The arrays the innermost layer of a metric chain holds: its point
+    matrix, then every array attribute it derived at construction (the
+    Euclidean squared norms, the angular unit vectors, a distance
+    matrix, …).  Empty for a chain that holds none."""
+    layers = list(_unwrap(metric))
+    if not layers:
+        return ()
+    base = layers[-1]
+    arrays = []
+    data = getattr(getattr(base, "points", None), "_data", None)
+    if isinstance(data, np.ndarray):
+        arrays.append(data)
+    arrays.extend(value for value in getattr(base, "__dict__", {}).values()
+                  if isinstance(value, np.ndarray))
+    return tuple(arrays)
 
 
-def dataset_fingerprint(array: np.ndarray) -> str:
-    """Content fingerprint of a point matrix (shape + dtype + bytes)."""
+def dataset_fingerprint(arrays: Sequence[np.ndarray]) -> str:
+    """Content fingerprint of a dataset's arrays (shapes + dtypes + bytes)."""
     h = hashlib.blake2b(digest_size=16)
-    h.update(repr((array.shape, str(array.dtype))).encode())
-    h.update(np.ascontiguousarray(array).tobytes())
+    for array in arrays:
+        h.update(repr((array.shape, str(array.dtype))).encode())
+        h.update(np.ascontiguousarray(array).tobytes())
     return h.hexdigest()
 
 
@@ -159,7 +172,7 @@ class WorkerAgent:
 
         {"op": "ping"}                          -> {"ok", "pid", "slots", "python", "datasets"}
         {"op": "put_dataset", fingerprint,
-         shape, dtype, blob}                    -> {"ok", "cached"}
+         arrays: [(shape, dtype, blob)...]}     -> {"ok", "cached"}
         {"op": "run", blob, inject, delay_s,
          heartbeat_s}                           -> {"hb": n}* then
                                                    {"ok": True, "blob"} |
@@ -195,7 +208,7 @@ class WorkerAgent:
         #: ``os._exit``.  In-process agents simulate death by refusing
         #: all further connections instead.
         self.allow_exit = allow_exit
-        self._datasets: dict[str, np.ndarray] = {}
+        self._datasets: dict[str, tuple] = {}
         self._slots_sem = threading.BoundedSemaphore(self.slots)
         self._sock: Optional[socket.socket] = None
         self._accept_thread: Optional[threading.Thread] = None
@@ -318,15 +331,16 @@ class WorkerAgent:
             fingerprint = str(request["fingerprint"])
             cached = fingerprint in self._datasets
             if not cached:
-                array = np.frombuffer(
-                    request["blob"], dtype=np.dtype(request["dtype"])
-                ).reshape(tuple(request["shape"]))
-                array.setflags(write=False)
-                self._datasets[fingerprint] = array
+                arrays = []
+                for shape, dtype, blob in request["arrays"]:
+                    array = np.frombuffer(blob, dtype=np.dtype(dtype)).reshape(tuple(shape))
+                    array.setflags(write=False)
+                    arrays.append(array)
+                self._datasets[fingerprint] = arrays = tuple(arrays)
                 _log.info(
                     "dataset cached",
                     extra={"address": self.address, "fingerprint": fingerprint,
-                           "nbytes": int(array.nbytes)},
+                           "nbytes": sum(int(a.nbytes) for a in arrays)},
                 )
             send_msg(conn, {"ok": True, "cached": cached})
         elif op == "run":
@@ -370,14 +384,14 @@ class WorkerAgent:
         send_msg(conn, reply)
 
     def _cached_dataset(self, pid) -> np.ndarray:
-        """Resolve a ``("repro-dataset", fingerprint)`` codec reference;
-        :class:`~repro.mpc.codec.MissingReference` when this agent does
-        not hold it."""
-        kind, fingerprint = pid
+        """Resolve a ``("repro-dataset", fingerprint, index)`` codec
+        reference; :class:`~repro.mpc.codec.MissingReference` when this
+        agent does not hold the dataset."""
+        kind, fingerprint, index = pid
         if kind != "repro-dataset":  # pragma: no cover - protocol guard
             raise ProtocolError(f"unknown persistent id {pid!r}")
         try:
-            return self._datasets[fingerprint]
+            return self._datasets[fingerprint][index]
         except KeyError:
             raise MissingReference(fingerprint) from None
 
@@ -493,18 +507,16 @@ class RemoteExecutor(ChunkDispatcher):
         self.dispatched_chunks = 0
         self.datasets_shipped = 0
         self._pinged = False
-        self._dataset: Optional[Tuple[str, np.ndarray]] = None
+        #: base metric -> ``(fingerprint, arrays)`` of its dataset
+        self._datasets: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
         self._local: Optional[ProcessExecutor] = None
 
     # -- lifecycle ------------------------------------------------------------
 
     def bind(self, cluster) -> None:
-        """Adopt a cluster: locate the point matrix for the dataset
-        cache, probe the pool once, and bind the local fallback too."""
+        """Adopt a cluster: probe the pool once, and bind the local
+        fallback too."""
         super().bind(cluster)
-        array = find_points_array(cluster.metric)
-        if array is not None:
-            self._dataset = (dataset_fingerprint(array), array)
         self._ping_pool()
         if self._local is not None:
             self._local.bind(cluster)
@@ -636,9 +648,27 @@ class RemoteExecutor(ChunkDispatcher):
         alive = self._alive()
         return [alive[(slot + attempt) % len(alive)] for slot in slots] if alive else []
 
+    def _dataset_for(self, metric) -> Optional[Tuple[str, tuple]]:
+        """``(fingerprint, arrays)`` of the dataset a batch on ``metric``
+        references, or ``None`` when its base metric holds no arrays.
+        The fingerprint is computed once per base metric, and again only
+        when its arrays were rebound (e.g. moved to shared memory)."""
+        arrays = base_arrays(metric)
+        if not arrays:
+            return None
+        base = list(_unwrap(metric))[-1]
+        cached = self._datasets.get(base)
+        if cached is None or len(cached[1]) != len(arrays) or any(
+                a is not b for a, b in zip(cached[1], arrays)):
+            cached = self._datasets[base] = (dataset_fingerprint(arrays), arrays)
+        return cached
+
     def _refs(self, batch) -> list:
-        dataset = self._dataset
-        return [(("repro-dataset", dataset[0]), dataset[1])] if dataset is not None else []
+        dataset = self._dataset_for(batch.metric)
+        if dataset is None:
+            return []
+        fingerprint, arrays = dataset
+        return [(("repro-dataset", fingerprint, i), array) for i, array in enumerate(arrays)]
 
     def _fault(self, plan, batch_no: int, slot: int, attempt: int) -> tuple:
         return plan.remote_fault(batch_no, slot, attempt), plan.remote_delay_s
@@ -652,17 +682,16 @@ class RemoteExecutor(ChunkDispatcher):
         jitter = 0.75 + 0.5 * (int.from_bytes(digest, "big") / 2**64)
         time.sleep(min(base * jitter, self.max_backoff_s))
 
-    def _ship_dataset(self, worker: _RemoteWorkerState, cluster) -> Optional[Exception]:
-        """Ship the point matrix to one worker (once per fingerprint); a
-        worker that cannot take it is marked dead, and the error returned."""
-        fingerprint, array = self._dataset
+    def _ship_dataset(self, worker: _RemoteWorkerState, dataset, cluster) -> Optional[Exception]:
+        """Ship a dataset's arrays to one worker (once per fingerprint); a
+        worker that cannot take them is marked dead, and the error returned."""
+        fingerprint, arrays = dataset
         try:
             reply = self._call(worker, {
                 "op": "put_dataset",
                 "fingerprint": fingerprint,
-                "shape": tuple(array.shape),
-                "dtype": str(array.dtype),
-                "blob": np.ascontiguousarray(array).tobytes(),
+                "arrays": [(tuple(a.shape), str(a.dtype), np.ascontiguousarray(a).tobytes())
+                           for a in arrays],
             }, max(self.lease_s, self.chunk_timeout_s))
             if not reply.get("ok"):  # pragma: no cover - protocol guard
                 raise ProtocolError(f"put_dataset refused: {reply!r}")
@@ -676,10 +705,11 @@ class RemoteExecutor(ChunkDispatcher):
     def _run_wave(self, batch, frames) -> List[tuple]:
         """Fire the wave's chunks concurrently, each under its own lease,
         so the wave lasts as long as its slowest chunk."""
+        dataset = self._dataset_for(batch.metric)
         for frame in frames:
             worker = frame.worker
-            if worker.alive and self._dataset is not None and self._dataset[0] not in worker.datasets:
-                self._ship_dataset(worker, batch.cluster)
+            if worker.alive and dataset is not None and dataset[0] not in worker.datasets:
+                self._ship_dataset(worker, dataset, batch.cluster)
         with ThreadPoolExecutor(len(frames)) as fire:
             return list(fire.map(lambda frame: self._fire(batch, frame), frames))
 
@@ -693,7 +723,7 @@ class RemoteExecutor(ChunkDispatcher):
             # re-send once, transparently
             self._emit(batch.cluster, "dataset_reship", injected=False,
                        target=str(worker), detail=f"cache miss for {outcome[1]}")
-            exc = self._ship_dataset(worker, batch.cluster)
+            exc = self._ship_dataset(worker, self._dataset_for(batch.metric), batch.cluster)
             if exc is not None:
                 return lost(worker, f"lost its dataset and could not be re-shipped: {exc}",
                             frame.chunk)

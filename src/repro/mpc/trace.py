@@ -1,9 +1,10 @@
 """Round-by-round message tracing for debugging distributed runs.
 
 Add a :class:`MessageTrace` to a cluster's observer hub and every
-delivered message is recorded as a :class:`TraceEvent` (round, src, dst,
-tag, words).  Traces answer the questions that matter when an MPC
-algorithm misbehaves: *which step* moved the data, *who* talked to whom,
+delivered message is recorded as a
+:class:`~repro.obs.events.MessageEvent` (round, src, dst, tag, words).
+Traces answer the questions that matter when an MPC algorithm
+misbehaves: *which step* moved the data, *who* talked to whom,
 and *where* the communication budget went — broken down by the message
 tags the algorithms already attach (``degree/sample``, ``mis/samples``,
 …).
@@ -25,9 +26,6 @@ from typing import Dict, List
 from repro.obs.events import MessageEvent
 from repro.obs.observer import Observer
 
-#: Backwards-compatible alias: trace events *are* the hub's message events.
-TraceEvent = MessageEvent
-
 
 class MessageTrace(Observer):
     """Records every message a cluster delivers.
@@ -40,7 +38,7 @@ class MessageTrace(Observer):
     """
 
     def __init__(self) -> None:
-        self.events: List[TraceEvent] = []
+        self.events: List[MessageEvent] = []
 
     # -- hook --------------------------------------------------------------------
 
@@ -66,11 +64,11 @@ class MessageTrace(Observer):
             acc[e.round_no] += e.words
         return dict(sorted(acc.items()))
 
-    def messages_between(self, src: int, dst: int) -> List[TraceEvent]:
+    def messages_between(self, src: int, dst: int) -> List[MessageEvent]:
         """All events on one directed machine pair."""
         return [e for e in self.events if e.src == src and e.dst == dst]
 
-    def heaviest_events(self, limit: int = 10) -> List[TraceEvent]:
+    def heaviest_events(self, limit: int = 10) -> List[MessageEvent]:
         """The largest individual messages."""
         return sorted(self.events, key=lambda e: -e.words)[:limit]
 

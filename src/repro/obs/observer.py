@@ -15,9 +15,12 @@ round is fixed: ``on_round_start`` → ``on_message`` (per delivered
 message, outbox order) → ``on_round_end``.
 
 Spans are tracked even when no observer is attached (the stack must
-stay consistent if one attaches mid-run), but the per-message fast path
-skips event construction entirely when nobody is listening, keeping the
-zero-observer overhead negligible.
+stay consistent if one attaches mid-run).  Per-message events exist
+only while an observer with ``wants_messages`` is attached: the
+cluster's collectives queue one entry per sender, and only then does
+the cluster synthesise the per-(src, dst) envelopes and events from
+them, in the order and with the words one ``send()`` per pair gives.
+Without such an observer no envelope or event is built at all.
 """
 
 from __future__ import annotations
@@ -66,8 +69,9 @@ class Observer:
         executed (the cluster's counter has already advanced to it)."""
 
     def on_send(self, message) -> None:
-        """A message was queued via ``cluster.send`` (pre-delivery; the
-        :class:`~repro.mpc.message.Message` envelope is passed as-is)."""
+        """A message was queued (pre-delivery).  ``message`` is the
+        :class:`~repro.mpc.message.Message` envelope: the one passed to
+        ``cluster.send``, or one synthesised from a collective."""
 
     def on_message(self, event: MessageEvent) -> None:
         """A message was delivered during the current ``step()``."""
@@ -146,6 +150,13 @@ class ObserverHub:
 
     def __len__(self) -> int:
         return len(self._observers)
+
+    @property
+    def wants_messages(self) -> bool:
+        """True while an attached observer has ``wants_messages``: only
+        then does the cluster synthesise per-message envelopes and
+        events from its collectives."""
+        return self._message_listeners > 0
 
     def __contains__(self, observer: object) -> bool:
         return observer in self._observers

@@ -116,6 +116,93 @@ class TestMessaging:
             assert mach.knows(union)
 
 
+class TestScatter:
+    def test_slices_charge_and_teach_like_one_send_each(self, cluster, metric):
+        ids = cluster.machines[1].local_ids[:5]
+        cluster.scatter(1, [0, 2, 3], PointBatch(ids, {"c": np.arange(5.0)}), [2, 0, 3], tag="s")
+        inboxes = cluster.step()
+        r = cluster.stats.rounds_log[-1]
+        per_point = 1 + metric.point_words() + 1
+        assert r.messages == 3
+        assert r.sent[1] == 5 * per_point
+        assert list(r.received) == [2 * per_point, 0, 0, 3 * per_point]
+        assert cluster.machines[0].knows(ids[:2]) and not cluster.machines[0].knows(ids[2:])
+        assert cluster.machines[3].knows(ids[2:]) and not cluster.machines[3].knows(ids[:2])
+        assert not cluster.machines[2].knows(ids)
+        (msg,) = inboxes[3]
+        assert (msg.src, msg.dst, msg.tag) == (1, 3, "s")
+        assert np.array_equal(msg.payload.ids, ids[2:])
+        assert np.array_equal(msg.payload.columns["c"], [2.0, 3.0, 4.0])
+        assert len(inboxes[2]) == 1 and inboxes[2][0].payload.ids.size == 0
+
+    def test_array_slices_are_plain_words(self, cluster):
+        cluster.scatter(2, [0, 1], np.arange(7.0), [4, 3])
+        inboxes = cluster.step()
+        r = cluster.stats.rounds_log[-1]
+        assert r.sent[2] == 7 and r.received[0] == 4 and r.received[1] == 3
+        assert np.array_equal(inboxes[1][0].payload, [4.0, 5.0, 6.0])
+
+    def test_several_slices_to_one_receiver(self, cluster):
+        ids = cluster.machines[2].local_ids[:4]
+        cluster.scatter(2, [0, 0], PointBatch(ids), [1, 3])
+        inboxes = cluster.step()
+        assert cluster.stats.rounds_log[-1].messages == 2
+        assert [m.payload.ids.size for m in inboxes[0]] == [1, 3]
+        assert cluster.central.knows(ids)
+
+    def test_strict_sender_must_know_points(self, cluster):
+        foreign = cluster.machines[2].local_ids[:2]
+        with pytest.raises(UnknownPointError):
+            cluster.scatter(1, [0], PointBatch(foreign), [2])
+
+    def test_bad_arguments(self, cluster):
+        ids = cluster.machines[1].local_ids[:2]
+        with pytest.raises(ValueError):
+            cluster.scatter(1, [0, 9], PointBatch(ids), [1, 1])
+        with pytest.raises(ValueError):
+            cluster.scatter(1, [0], PointBatch(ids), [1, 1])
+        with pytest.raises(ValueError):
+            cluster.scatter(1, [0, 2], PointBatch(ids), [1, 2])
+
+    def test_events_match_one_send_per_slice(self, metric):
+        from repro.mpc.trace import MessageTrace
+
+        def run(scattered):
+            c = MPCCluster(metric, num_machines=4, seed=0)
+            trace = c.obs.add(MessageTrace())
+            ids = c.machines[1].local_ids[:5]
+            if scattered:
+                c.scatter(1, [0, 2, 3], PointBatch(ids), [2, 0, 3], tag="t")
+            else:
+                for dst, part in zip([0, 2, 3], (ids[:2], ids[2:2], ids[2:])):
+                    c.send(1, dst, PointBatch(part), tag="t")
+            c.step()
+            stats = c.stats.rounds_log[-1]
+            return ([(e.round_no, e.src, e.dst, e.tag, e.words) for e in trace.events],
+                    stats.sent.tolist(), stats.received.tolist(), stats.messages,
+                    c.stats.peak_known_points)
+
+        assert run(True) == run(False)
+
+
+class TestInboxes:
+    def test_unread_inboxes_stay_unbuilt_until_read(self, cluster):
+        cluster.broadcast(0, 1.0, tag="b")
+        inboxes = cluster.step()
+        assert len(inboxes) == 4 and list(inboxes) == [0, 1, 2, 3]
+        assert inboxes[0] == []
+        assert [m.src for m in inboxes[2]] == [0]
+        with pytest.raises(KeyError):
+            inboxes[4]
+
+    def test_known_masks_are_rows_of_one_array(self, cluster):
+        ids = cluster.machines[1].local_ids[:3]
+        cluster.broadcast(1, PointBatch(ids))
+        cluster.step()
+        assert all(mach.knows(ids) for mach in cluster.machines)
+        assert cluster.stats.peak_known_points == max(m.known_count for m in cluster.machines)
+
+
 class TestAccounting:
     def test_scalar_word_charged_both_sides(self, cluster):
         cluster.send(1, 2, 5.0)

@@ -88,7 +88,3 @@ class TestRngIsolation:
         a = Machine(0, metric, np.arange(5), np.random.default_rng(1))
         b = Machine(1, metric, np.arange(5), np.random.default_rng(2))
         assert a.rng.random() != b.rng.random()
-
-    def test_store_is_private(self, machine):
-        machine.store["x"] = 1
-        assert machine.store == {"x": 1}

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core.kcenter import mpc_kcenter
+import repro
 from repro.metric.euclidean import EuclideanMetric
+from repro.metric.oracle import CountingOracle
 from repro.mpc.cluster import MPCCluster
 from repro.mpc.trace import MessageTrace
 from repro.obs import Observer
+from tests.test_accounting_pinned import PINNED, event_digest, integer_points, solve
 
 
 @pytest.fixture
@@ -107,32 +109,40 @@ class TestHubManagement:
 
 
 class TestLegacyEquivalence:
-    def test_hooked_trace_matches_monkeypatched_totals(self, metric):
-        """The hook-based MessageTrace must see exactly what a legacy
-        monkey-patch interception of ``step()`` sees on a real run."""
-        pw = metric.point_words()
-
+    def test_hooked_trace_matches_monkeypatched_totals(self):
+        """The hook-based MessageTrace must see exactly the events one
+        ``send()`` per (src, dst) pair gave before the collectives became
+        array-native (the digest pinned in ``test_accounting_pinned``),
+        and each event must match an envelope a caller reads back from
+        ``step()``, with its words recomputed from the payload."""
         # run 1: the supported hook API
-        cluster1 = MPCCluster(metric, 4, seed=7)
-        trace = cluster1.obs.add(MessageTrace())
-        res1 = mpc_kcenter(cluster1, k=5, epsilon=0.5)
+        trace = MessageTrace()
+        ids, cluster1, _ = solve("kcenter", 500, 5, observer=trace)
+        assert event_digest(trace.events) == PINNED[("kcenter", 500, 5)][1]
+        assert trace.total_words() == cluster1.stats.total_words
 
-        # run 2: same seed, monkey-patch step() the way the old trace did
-        cluster2 = MPCCluster(metric, 4, seed=7)
-        legacy = []
+        # run 2: same seed, no observer; every inbox each step() returns
+        # is read back
+        cluster2 = repro.build_cluster(
+            metric=CountingOracle(repro.EuclideanMetric(integer_points(500))),
+            machines=5, seed=17)
+        pw = cluster2.metric.point_words()
         original_step = cluster2.step
+        delivered = []
 
-        def patched_step():
-            pending = [(m.src, m.dst, m.tag, m.words(pw)) for m in cluster2._outbox]
+        def reading_step():
             inboxes = original_step()
             rnd = cluster2.round_no
-            legacy.extend((rnd,) + p for p in pending)
+            delivered.extend((rnd, msg.src, msg.dst, msg.tag, msg.words(pw))
+                             for dst in inboxes for msg in inboxes[dst])
             return inboxes
 
-        cluster2.step = patched_step
-        res2 = mpc_kcenter(cluster2, k=5, epsilon=0.5)
+        cluster2.step = reading_step
+        res2 = repro.solve_kcenter(cluster=cluster2, k=8, eps=0.2)
 
-        assert np.array_equal(res1.centers, res2.centers)
+        assert np.array_equal(ids, res2.centers)
         hooked = [(e.round_no, e.src, e.dst, e.tag, e.words) for e in trace.events]
-        assert hooked == legacy
-        assert trace.total_words() == cluster1.stats.total_words
+        assert sorted(hooked) == sorted(delivered)
+        # a gather reaches the central machine from every other machine
+        for src in range(1, 5):
+            assert [e.tag for e in trace.messages_between(src, 0)].count("kcenter/coreset") == 1
