@@ -1,4 +1,4 @@
-"""Backend scaling bench — serial vs thread vs process wall-clock.
+"""Backend scaling bench — serial vs process vs remote wall-clock.
 
 Not a paper claim: this measures the simulator's execution backends on
 one large k-center instance.  Besides timing, it *asserts* the tentpole
@@ -33,7 +33,7 @@ from repro.analysis.reports import format_table  # noqa: E402
 from repro.api import build_cluster, solve_kcenter  # noqa: E402
 from repro.metric.euclidean import EuclideanMetric  # noqa: E402
 from repro.metric.oracle import CountingOracle  # noqa: E402
-from repro.mpc.executor import BACKENDS, ProcessExecutor, get_executor  # noqa: E402
+from repro.mpc.executor import BACKENDS, get_executor  # noqa: E402
 
 
 def _git_sha() -> str:
@@ -102,7 +102,7 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument(
         "--workers", type=int, default=None,
-        help="worker cap for thread/process backends "
+        help="worker cap for the process and remote backends "
         "(default: REPRO_WORKERS env var, else cpu count)",
     )
     ap.add_argument(

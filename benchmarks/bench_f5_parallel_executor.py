@@ -1,10 +1,9 @@
-"""F5 — threaded local-compute executor (repro-infrastructure series).
+"""F5 — process local-compute executor (repro-infrastructure series).
 
 Not a paper claim: this measures the simulator itself.  Per-machine
-local work inside an MPC round is embarrassingly parallel, and the
-numpy kernels release the GIL, so a thread pool can overlap them.  The
-bench verifies the threaded executor is a bit-identical drop-in and
-reports the wall-clock effect.
+local work inside an MPC round is embarrassingly parallel, so a pool of
+forked workers can run it side by side.  The bench verifies the process
+executor is a bit-identical drop-in and reports the wall-clock effect.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import numpy as np
 from repro.analysis.reports import format_table
 from repro.core.kcenter import mpc_kcenter
 from repro.mpc.cluster import MPCCluster
-from repro.mpc.executor import SerialExecutor, ThreadedExecutor
+from repro.mpc.executor import ProcessExecutor, SerialExecutor
 from repro.workloads.registry import make_workload
 
 N, K, M = 4096, 8, 16
@@ -29,12 +28,13 @@ def run_comparison() -> list[dict]:
     results = {}
     for name, executor in [
         ("serial", SerialExecutor()),
-        ("threaded(8)", ThreadedExecutor(max_workers=8)),
+        ("process(2)", ProcessExecutor(max_workers=2)),
     ]:
         cluster = MPCCluster(wl.metric, M, seed=0, executor=executor)
         t0 = time.perf_counter()
         res = mpc_kcenter(cluster, K, epsilon=0.2)
         dt = time.perf_counter() - t0
+        executor.shutdown()
         results[name] = res
         rows.append(
             {
@@ -47,9 +47,9 @@ def run_comparison() -> list[dict]:
             }
         )
     # drop-in check: identical outputs
-    assert results["serial"].radius == results["threaded(8)"].radius
+    assert results["serial"].radius == results["process(2)"].radius
     assert np.array_equal(
-        np.sort(results["serial"].centers), np.sort(results["threaded(8)"].centers)
+        np.sort(results["serial"].centers), np.sort(results["process(2)"].centers)
     )
     return rows
 

@@ -32,8 +32,7 @@ Public surface:
   :class:`CachedOracle`;
 * the simulator — :class:`MPCCluster`, :class:`Limits`, partitioners,
   and the execution backends (:class:`SerialExecutor`,
-  :class:`ThreadedExecutor`, :class:`ProcessExecutor`,
-  :func:`get_executor`);
+  :class:`ProcessExecutor`, :func:`get_executor`);
 * observability — :class:`Observer`, :class:`ObserverHub` (as
   ``cluster.obs``), :class:`Recorder`, :class:`RunLog`, and the trace
   exporters in :mod:`repro.obs`;
@@ -122,7 +121,6 @@ from repro.mpc import (
     MPCCluster,
     ProcessExecutor,
     SerialExecutor,
-    ThreadedExecutor,
     adversarial_partition,
     block_partition,
     get_executor,
@@ -176,7 +174,6 @@ __all__ = [
     "BACKENDS",
     "ExecutionBackend",
     "SerialExecutor",
-    "ThreadedExecutor",
     "ProcessExecutor",
     "get_executor",
     # observability

@@ -23,10 +23,9 @@ Every solver accepts the same assembly keywords:
     Number of simulated MPC machines (default
     :data:`DEFAULT_MACHINES`, capped at ``n``).
 ``backend``
-    Compute backend: ``'serial'``, ``'thread'``, ``'process'``, or
-    ``'remote'`` (socket-connected worker agents, see
-    :mod:`repro.mpc.remote`) — or any
-    :class:`~repro.mpc.executor.ExecutionBackend` instance (see
+    Compute backend: ``'serial'``, ``'process'``, or ``'remote'``
+    (socket-connected worker agents, see :mod:`repro.mpc.remote`) — or
+    any :class:`~repro.mpc.executor.ExecutionBackend` instance (see
     :mod:`repro.mpc.executor`).
 ``seed``
     Master RNG seed; ``None`` means 0.  Same seed ⇒ bit-identical

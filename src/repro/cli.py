@@ -90,9 +90,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         choices=list(BACKENDS),
         default="serial",
         help="compute backend for the per-machine work; 'process' "
-        "keeps the point matrix in shared memory, 'remote' dispatches "
-        "to socket-connected worker agents (--workers) — every backend "
-        "is bit-identical to 'serial' for any fixed seed",
+        "forks local workers that read the points they inherited, "
+        "'remote' dispatches to socket-connected worker agents "
+        "(--workers) — every backend is bit-identical to 'serial' for "
+        "any fixed seed",
     )
     p.add_argument(
         "--workers",

@@ -20,7 +20,7 @@ that the warm solution is *not* bit-identical to a cold solve of the
 child (the coreset candidates differ); the drift report attached to
 warm job payloads quantifies exactly how far the two drift apart.
 Warm results remain deterministic: for a fixed seed and chain they are
-bit-identical across serial/thread/process/remote backends.
+bit-identical across serial/process/remote backends.
 """
 
 from __future__ import annotations

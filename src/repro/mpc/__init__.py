@@ -21,7 +21,6 @@ from repro.mpc.executor import (
     ExecutionBackend,
     ProcessExecutor,
     SerialExecutor,
-    ThreadedExecutor,
     get_executor,
 )
 from repro.mpc.remote import (
@@ -53,7 +52,6 @@ __all__ = [
     "BACKENDS",
     "ExecutionBackend",
     "SerialExecutor",
-    "ThreadedExecutor",
     "ProcessExecutor",
     "RemoteExecutor",
     "WorkerAgent",

@@ -1,15 +1,12 @@
 """Execution backends for per-machine local computation.
 
 Within an MPC round, machines compute independently — the simulator can
-therefore fan the per-machine work out to an execution backend.  Four
+therefore fan the per-machine work out to an execution backend.  Three
 are provided, all implementing the :class:`ExecutionBackend` protocol
-(the fourth, the multi-host :class:`~repro.mpc.remote.RemoteExecutor`,
+(the third, the multi-host :class:`~repro.mpc.remote.RemoteExecutor`,
 lives in :mod:`repro.mpc.remote`):
 
 * :class:`SerialExecutor` — one task after another (the default);
-* :class:`ThreadedExecutor` — a shared thread pool; the heavy kernels
-  are numpy calls that release the GIL, so threads overlap them with
-  zero marshalling cost;
 * :class:`ProcessExecutor` — a pool of real OS processes, forked once
   per bound cluster at its first parallel batch and kept until
   ``shutdown()``, for metrics whose kernels hold the GIL (edit
@@ -17,8 +14,8 @@ lives in :mod:`repro.mpc.remote`):
   Each batch sends one frame per worker over a socket pair: the task
   and that worker's machines, encoded with the closure codec of
   :mod:`repro.mpc.codec`.  The metric chain is never sent — each
-  worker uses the copy it inherited at fork, whose point matrix lives
-  in :mod:`multiprocessing.shared_memory` (see :mod:`repro.mpc.shm`) —
+  worker reads the copy it inherited at fork, whose point matrix is
+  the read-only array :class:`~repro.metric.points.PointSet` built —
   and only the small per-machine results travel back.  The batch loop
   — chunking, retries, fault accounting, span merging — is the
   :class:`~repro.mpc.dispatch.ChunkDispatcher` it shares with the
@@ -28,8 +25,8 @@ Determinism is preserved by construction on every backend: each machine
 draws only from its *own* RNG stream inside its own task, so the
 schedule cannot change any stream's sequence.  For processes, the
 worker additionally returns the machine's post-task RNG state and the
-distance-oracle counter deltas, which the driver replays — serial,
-threaded, and process runs are bit-identical, including the
+distance-oracle counter deltas, which the driver replays — serial and
+process runs are bit-identical, including the
 :class:`~repro.metric.oracle.CountingOracle` ledger
 (``tests/test_mpc_executor.py`` asserts it).
 
@@ -55,13 +52,11 @@ import sys
 import threading
 import time
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, List, Optional, Protocol, TypeVar, runtime_checkable
 
 from repro.mpc import blas
 from repro.mpc.codec import ProtocolError, recv_frame, recv_msg, send_frame, send_msg
 from repro.mpc.dispatch import ChunkDispatcher, _WorkerFailure, lost, read_reply, run_chunk
-from repro.mpc.shm import SharedArray, _unwrap, share_metric_points
 
 T = TypeVar("T")
 
@@ -72,9 +67,9 @@ class ExecutionBackend(Protocol):
 
     ``map_indexed(fn, count)`` evaluates ``fn(i)`` for ``i in
     range(count)`` and returns the results in index order; exceptions
-    propagate to the caller.  ``shutdown()`` releases pools and shared
-    resources and must be idempotent.  Backends may optionally provide
-    ``bind(cluster)`` (called once from the cluster constructor) and
+    propagate to the caller.  ``shutdown()`` releases pools and must be
+    idempotent.  Backends may optionally provide ``bind(cluster)``
+    (called once from the cluster constructor) and
     ``map_machines(fn, machines, metric=None)`` for machine-aware
     dispatch with state synchronisation.
     """
@@ -124,61 +119,13 @@ class SerialExecutor:
         pass
 
 
-class ThreadedExecutor:
-    """Fan per-machine tasks out to a shared thread pool.
-
-    Parameters
-    ----------
-    max_workers:
-        Pool size; defaults to the machine count passed per call (capped
-        at 32).
-    """
-
-    def __init__(self, max_workers: int | None = None) -> None:
-        self.max_workers = max_workers
-        self._pool: ThreadPoolExecutor | None = None
-
-    def _ensure(self, count: int) -> ThreadPoolExecutor:
-        if self._pool is None:
-            workers = self.max_workers or min(32, max(1, count))
-            self._pool = ThreadPoolExecutor(max_workers=workers)
-        return self._pool
-
-    def map_indexed(self, fn: Callable[[int], T], count: int) -> List[T]:
-        """Evaluate ``fn(i)`` for ``i in range(count)`` concurrently,
-        returning results in index order (exceptions propagate)."""
-        if count <= 1:
-            return [fn(i) for i in range(count)]
-        pool = self._ensure(count)
-        return list(pool.map(fn, range(count)))
-
-    def effective_workers(self, count: int | None = None) -> int:
-        """Pool size a ``count``-task batch would actually run on.
-
-        Mirrors :meth:`_ensure`: an already-created pool keeps its
-        size, an explicit ``max_workers`` wins otherwise, and with
-        neither the pool is sized from the batch — so ``count`` is
-        required in that case rather than silently reported as 1.
-        """
-        if self._pool is not None:
-            return self._pool._max_workers
-        if self.max_workers:
-            return self.max_workers
-        if count is None:
-            raise ValueError(
-                "ThreadedExecutor sizes its pool from the first batch; "
-                "pass count (or construct with max_workers) to compute "
-                "effective_workers"
-            )
-        return min(32, max(1, count))
-
-    def shutdown(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __del__(self) -> None:  # pragma: no cover - GC safety net
-        self.shutdown()
+def _unwrap(metric):
+    """Walk oracle wrappers (``.inner``) down to the base metric."""
+    seen = set()
+    while metric is not None and id(metric) not in seen:
+        seen.add(id(metric))
+        yield metric
+        metric = getattr(metric, "inner", None)
 
 
 # -- the process pool ---------------------------------------------------------
@@ -274,9 +221,9 @@ class _Pool:
     """Workers forked for one metric chain, kept until :meth:`close`.
 
     A slot forks at the first batch that needs it, so its worker
-    inherits the driver as it is then — the metric chain with its points
-    already in shared memory.  Frames name the chain's layers by their
-    index in :attr:`inherited` instead of pickling them.
+    inherits the driver as it is then, the metric chain and its
+    read-only point matrix included.  Frames name the chain's layers by
+    their index in :attr:`inherited` instead of pickling them.
     """
 
     def __init__(self, metric, size: int) -> None:
@@ -353,8 +300,8 @@ class ProcessExecutor(ChunkDispatcher):
 
     The pool is forked at the first parallel batch after :meth:`bind`
     and kept until :meth:`shutdown`; each worker inherits the bound
-    cluster's metric chain, whose point matrix :meth:`bind` has already
-    moved into shared memory.  A batch is the
+    cluster's metric chain and reads its points from the pages it
+    inherited, so no point is ever pickled.  A batch is the
     :class:`~repro.mpc.dispatch.ChunkDispatcher` loop: each wave writes
     one frame per strided chunk to its worker's socket — the task and
     that chunk's machines, encoded with :mod:`repro.mpc.codec` — before
@@ -407,7 +354,6 @@ class ProcessExecutor(ChunkDispatcher):
     ) -> None:
         # attributes first: __del__ must survive a failed check below
         self.max_workers = max_workers
-        self._shared: List[SharedArray] = []
         self._pool: Optional[_Pool] = None
         self._owner_pid = os.getpid()
         super().__init__(faults, chunk_retries)
@@ -423,26 +369,17 @@ class ProcessExecutor(ChunkDispatcher):
     # -- lifecycle ----------------------------------------------------------
 
     def bind(self, cluster) -> None:
-        """Adopt a cluster: move its point matrix into shared memory.
-        A pool forked earlier is stopped, so the next parallel batch
-        forks workers that inherit this cluster's metric."""
+        """Adopt a cluster.  A pool forked earlier is stopped, so the
+        next parallel batch forks workers that inherit this cluster's
+        metric."""
         super().bind(cluster)
         self._close_pool()
-        if self.fallback_reason is not None:
-            return
-        handle = share_metric_points(cluster.metric)
-        if handle is not None:
-            self._shared.append(handle)
 
     def shutdown(self) -> None:
-        """Stop the worker pool and unlink shared segments (mappings
-        stay valid; idempotent)."""
+        """Stop the worker pool (idempotent)."""
         if self._owner_pid != os.getpid():
             return  # a copy inherited by a pool worker owns nothing
         self._close_pool()
-        for handle in self._shared:
-            handle.release()
-        self._shared = []
 
     def __del__(self) -> None:  # pragma: no cover - GC safety net
         self.shutdown()
@@ -540,7 +477,7 @@ class ProcessExecutor(ChunkDispatcher):
 
 
 #: backend names accepted by the CLI, the solver facade and job specs
-BACKENDS = ("serial", "thread", "process", "remote")
+BACKENDS = ("serial", "process", "remote")
 
 
 def get_executor(
@@ -550,8 +487,8 @@ def get_executor(
 ):
     """Build an execution backend from its name.
 
-    ``backend`` is one of :data:`BACKENDS` — ``'serial'``, ``'thread'``,
-    ``'process'`` or ``'remote'``; an :class:`ExecutionBackend` instance
+    ``backend`` is one of :data:`BACKENDS` — ``'serial'``, ``'process'``
+    or ``'remote'``; an :class:`ExecutionBackend` instance
     passes through unchanged.  ``workers`` carries remote worker
     addresses (``'host:port,host:port'`` or a list) for the remote
     backend — when omitted the
@@ -565,8 +502,6 @@ def get_executor(
     name = backend.lower()
     if name == "serial":
         return SerialExecutor()
-    if name == "thread":
-        return ThreadedExecutor(max_workers=max_workers)
     if name == "process":
         return ProcessExecutor(max_workers=max_workers)
     if name == "remote":

@@ -1,6 +1,6 @@
 """Remote multi-host execution: worker agents + a lease-based executor.
 
-:class:`RemoteExecutor` is the fourth :class:`~repro.mpc.executor.ExecutionBackend`:
+:class:`RemoteExecutor` is the third :class:`~repro.mpc.executor.ExecutionBackend`:
 it ships per-machine work over TCP to lightweight worker agents
 (:class:`WorkerAgent`, started with ``repro worker --listen HOST:PORT``)
 instead of forking local processes.  Robustness — not the transport —
@@ -14,11 +14,12 @@ is the design center:
 * **Dataset cache.**  What a batch's base metric holds — the point
   matrix and the arrays derived from it at construction, such as the
   Euclidean squared norms — is shipped **once per dataset fingerprint**
-  per worker (the remote analogue of :mod:`repro.mpc.shm`); chunk
-  payloads reference those arrays by fingerprint through pickle
-  persistent ids.  The dataset is the one of the batch's own metric
-  chain, whichever cluster was bound last.  A freshly restarted worker
-  answers ``need_dataset`` and the driver re-ships transparently.
+  per worker (the remote analogue of the points a forked pool worker
+  inherits); chunk payloads reference those arrays by fingerprint
+  through pickle persistent ids.  The dataset is the one of the
+  batch's own metric chain, whichever cluster was bound last.  A
+  freshly restarted worker answers ``need_dataset`` and the driver
+  re-ships transparently.
 * **Leases and heartbeats.**  A dispatched chunk holds a lease of
   :attr:`RemoteExecutor.lease_s`; the executing worker heartbeats while
   it computes, each beat renewing the lease up to a hard per-chunk
@@ -64,8 +65,7 @@ import numpy as np
 
 from repro.mpc.codec import MissingReference, ProtocolError, recv_msg, send_msg
 from repro.mpc.dispatch import ChunkDispatcher, lost, read_reply, run_chunk
-from repro.mpc.executor import ProcessExecutor, workers_from_env
-from repro.mpc.shm import _unwrap
+from repro.mpc.executor import ProcessExecutor, _unwrap, workers_from_env
 from repro.obs.logging import get_logger
 
 _log = get_logger("repro.mpc.remote")
@@ -652,7 +652,7 @@ class RemoteExecutor(ChunkDispatcher):
         """``(fingerprint, arrays)`` of the dataset a batch on ``metric``
         references, or ``None`` when its base metric holds no arrays.
         The fingerprint is computed once per base metric, and again only
-        when its arrays were rebound (e.g. moved to shared memory)."""
+        when the arrays it holds changed."""
         arrays = base_arrays(metric)
         if not arrays:
             return None

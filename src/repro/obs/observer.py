@@ -104,8 +104,8 @@ class ObserverHub:
     is a :class:`~repro.metric.oracle.CountingOracle` — the oracle call
     counters) to snapshot spans at entry and exit.  The cluster owns the
     hub, so the hub holds it weakly: a dropped cluster is freed at once,
-    with its executor, worker pool and shared memory, not at the next
-    cyclic garbage collection.
+    with its executor and worker pool, not at the next cyclic garbage
+    collection.
     """
 
     def __init__(self, cluster) -> None:

@@ -37,8 +37,7 @@ Layers (each its own module):
   ``DELETE /v1/jobs/<id>``, ``GET /v1/jobs/<id>/trace``,
   ``GET /v1/healthz``, ``GET /v1/stats``, plus the ``/v1/analyses``
   sweep routes backed by :mod:`repro.sweeps`) on a threading
-  :mod:`http.server`, with uniform error envelopes and deprecated
-  unversioned aliases;
+  :mod:`http.server`, with uniform error envelopes;
 * :mod:`repro.service.client` — :class:`ServiceClient`, the in-process
   Python client the CLI smoke tests and notebooks use.
 

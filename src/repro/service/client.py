@@ -12,13 +12,11 @@ registers, submits, and waits::
     done = client.wait(job["id"])
     done["result"]["record"]["radius"]
 
-Requests go to the versioned API (``/v1/…`` by default; the
-``api_version`` knob pins another prefix, or ``""`` for the deprecated
-legacy paths).  HTTP error responses raise :class:`ServiceError`
-carrying the status, the machine-readable error ``code`` from the
-server's uniform envelope ``{"error": {"code", "message",
-"request_id"}}``, and the message — a full queue surfaces as
-``ServiceError`` with ``code == "queue_full"``.
+Requests go to the versioned API (``/v1/…``).  HTTP error responses
+raise :class:`ServiceError` carrying the status, the machine-readable
+error ``code`` from the server's uniform envelope ``{"error": {"code",
+"message", "request_id"}}``, and the message — a full queue surfaces
+as ``ServiceError`` with ``code == "queue_full"``.
 
 The transport is fault-tolerant: transient failures — dropped or
 refused connections, and responses whose error *code* marks them
@@ -52,6 +50,9 @@ RETRYABLE_CODES = ("queue_full", "unavailable", "injected_fault", "transport")
 
 #: status fallback for pre-envelope servers that send no code
 RETRYABLE_STATUSES = (429, 503)
+
+#: path prefix of every route: the server's one API version
+API_PREFIX = "/v1"
 
 _log = get_logger("repro.service.client")
 
@@ -134,10 +135,6 @@ class ServiceClient:
         Initial and maximum backoff between attempts; doubles per
         retry, and the server's ``Retry-After`` overrides the computed
         delay when present.
-    api_version:
-        Path prefix for every route, default ``"v1"``.  Pass ``""`` to
-        use the deprecated unversioned paths (e.g. against an old
-        server).
     """
 
     def __init__(
@@ -148,7 +145,6 @@ class ServiceClient:
         retries: int = 4,
         backoff_s: float = 0.1,
         max_backoff_s: float = 2.0,
-        api_version: str = "v1",
     ) -> None:
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
@@ -157,7 +153,6 @@ class ServiceClient:
         self.retries = retries
         self.backoff_s = backoff_s
         self.max_backoff_s = max_backoff_s
-        self.api_version = api_version.strip("/")
         #: transient failures retried over this client's lifetime
         self.transport_retries = 0
         #: ``X-Request-Id`` of the most recent response (success or error)
@@ -165,15 +160,9 @@ class ServiceClient:
 
     # -- transport ----------------------------------------------------------
 
-    def _url_path(self, path: str) -> str:
-        """Mount a route under the configured API version prefix."""
-        if not self.api_version:
-            return path
-        return f"/{self.api_version}{path}"
-
     def _request_once(self, method: str, path: str, body: Optional[dict] = None,
                       trace: Optional[TraceContext] = None):
-        url = f"{self.base_url}{self._url_path(path)}"
+        url = f"{self.base_url}{API_PREFIX}{path}"
         data = None
         headers = {"Accept": "application/json"}
         if trace is not None:

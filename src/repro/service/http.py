@@ -27,13 +27,10 @@ GET       ``/v1/stats``                   queue depth, cache ratio, per-algo cou
 GET       ``/v1/metrics``                 Prometheus text (see docs/metrics.md)
 ========  ==============================  ========================================
 
-The legacy unversioned paths (``/jobs``, …) still answer as deprecated
-aliases of the same handlers; their first use of each path logs a
-deprecation warning in the access log, and responses carry a
-``Deprecation`` header.  ``GET /v1/jobs`` paginates: ``?limit=`` caps
-the page and the response's ``next_cursor`` (the last job id of the
-page) feeds the next request's ``?cursor=``; ordering is stable by
-submit time.
+An unversioned path (``/jobs``, …) answers ``404`` ``no_route``.
+``GET /v1/jobs`` paginates: ``?limit=`` caps the page and the
+response's ``next_cursor`` (the last job id of the page) feeds the
+next request's ``?cursor=``; ordering is stable by submit time.
 
 Every 4xx/5xx body is the uniform envelope
 ``{"error": {"code", "message", "request_id"}}`` — ``code`` is
@@ -143,19 +140,6 @@ class ClusteringServiceServer(ThreadingHTTPServer):
         self.faults_injected = 0
         self.last_fault_at: Optional[float] = None
         self._last_fault_mono: Optional[float] = None
-        #: legacy (unversioned) paths already warned about — one
-        #: deprecation line per path, not one per request
-        self._legacy_warned: set = set()
-        self._legacy_lock = threading.Lock()
-
-    def warn_legacy_once(self, method: str, path: str) -> bool:
-        """True exactly once per ``(method, path)`` legacy access."""
-        key = (method, path)
-        with self._legacy_lock:
-            if key in self._legacy_warned:
-                return False
-            self._legacy_warned.add(key)
-            return True
 
     def next_request_no(self) -> int:
         return next(self._request_counter)
@@ -209,8 +193,6 @@ class _Handler(BaseHTTPRequestHandler):
     #: this request's trace context: the parsed ``traceparent`` child,
     #: or a freshly minted root (set at the top of ``_dispatch``)
     trace_ctx: Optional[TraceContext] = None
-    #: False when this request came in on a legacy unversioned path
-    api_versioned: bool = True
 
     # -- plumbing -----------------------------------------------------------
 
@@ -225,11 +207,6 @@ class _Handler(BaseHTTPRequestHandler):
         if ctx is not None:
             self.send_header("X-Request-Id", ctx.trace_id)
             self.send_header("traceparent", ctx.to_traceparent())
-        if not self.api_versioned:
-            self.send_header("Deprecation", "true")
-            self.send_header(
-                "Link", f'</{API_VERSION}{urlparse(self.path).path}>; rel="successor-version"'
-            )
 
     def _send_json(self, status: int, payload: dict) -> None:
         body = (json.dumps(payload) + "\n").encode()
@@ -329,7 +306,6 @@ class _Handler(BaseHTTPRequestHandler):
             else TraceContext.generate()
         )
         self._status: Optional[int] = None
-        self.api_versioned = True
         t0 = time.monotonic()
         try:
             with use_trace(self.trace_ctx):
@@ -340,26 +316,14 @@ class _Handler(BaseHTTPRequestHandler):
                      "duration_ms": round((time.monotonic() - t0) * 1e3, 3),
                      "trace_id": self.trace_ctx.trace_id,
                      "span_id": self.trace_ctx.span_id}
-            if not self.api_versioned:
-                extra["deprecated"] = True
             _log.info("http request", extra=extra)
 
     def _dispatch_traced(self, method: str) -> None:
         try:
             raw_path, parts, query = self._route()
-            if parts and parts[0] == API_VERSION:
-                parts = parts[1:]
-            elif parts:
-                # legacy unversioned alias: same handlers, but flagged —
-                # the response gets a Deprecation header and the first
-                # access of each path logs a warning in the access log
-                self.api_versioned = False
-                if self.server.warn_legacy_once(method, raw_path):
-                    _log.warning(
-                        "deprecated unversioned path; use the /v1 prefix",
-                        extra={"method": method, "path": raw_path,
-                               "successor": f"/{API_VERSION}{raw_path}"},
-                    )
+            if parts[:1] != [API_VERSION]:
+                raise ApiError(404, f"no route for {method} {raw_path}", "no_route")
+            parts = parts[1:]
             if self._inject_fault(parts):
                 return
             handler = self._resolve(method, parts)

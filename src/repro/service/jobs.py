@@ -261,7 +261,7 @@ class JobManager:
         Worker thread count (ignored for ``role='frontend'``).
     backend:
         Execution backend name handed to every solver run
-        (``serial``/``thread``/``process``/``remote``); a job spec that
+        (``serial``/``process``/``remote``); a job spec that
         pins ``backend=`` overrides it per job.
     remote_workers:
         Remote worker-agent addresses (``'host:port,host:port'`` or a

@@ -5,7 +5,7 @@ worker pool executes.  Its :meth:`~JobSpec.cache_key` is the result
 cache's identity — ``(dataset fingerprint, algorithm, and every
 result-relevant parameter)``.  The execution backend and the timeout are
 deliberately *excluded*: the PR-2 determinism guarantee makes results
-bit-identical across ``serial``/``thread``/``process``/``remote``, so a
+bit-identical across ``serial``/``process``/``remote``, so a
 result computed on any backend serves submissions targeting every
 backend — a spec may still pin ``backend=`` (e.g. ``'remote'``) to
 choose where it runs without changing its cache identity.

@@ -1,68 +1,37 @@
 """The job service end to end, over a real ``repro serve`` process.
 
 A service started with ``python -m repro serve --port 0 --workers 1
---backend serial`` must report itself healthy on ``/v1``, still answer
-the legacy unversioned ``/healthz`` with a ``Deprecation`` header, run
-a k-center job submitted over HTTP to exactly the result of the direct
+--backend serial`` must report itself healthy on ``/v1``, answer the
+unversioned ``/healthz`` with ``404`` ``no_route``, run a k-center job
+submitted over HTTP to exactly the result of the direct
 :func:`repro.api.solve_kcenter` call, and keep a non-empty trace of it.
 """
 
 from __future__ import annotations
 
-import os
-import re
-import subprocess
-import sys
-import threading
+import json
+import urllib.error
 import urllib.request
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import repro
 from repro.api import solve_kcenter
 from repro.service import ServiceClient
 
-_BANNER = re.compile(r"listening on (http://\S+) ")
 
-
-@pytest.fixture
-def service_url():
-    """A ``repro serve`` process on an ephemeral port; its URL is read
-    from the ``listening on`` banner.  Killed at teardown."""
-    env = dict(os.environ, PYTHONUNBUFFERED="1", PYTHONPATH=os.pathsep.join(
-        [str(Path(repro.__file__).parents[1])] + sys.path))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--port", "0",
-         "--workers", "1", "--backend", "serial"],
-        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True, env=env,
-    )
-    try:
-        line: list = []
-        reader = threading.Thread(target=lambda: line.append(proc.stdout.readline()),
-                                  daemon=True)
-        reader.start()
-        reader.join(timeout=60)
-        match = _BANNER.search(line[0]) if line else None
-        if match is None:
-            pytest.fail(f"service printed no banner: {line!r}")
-        yield match.group(1)
-    finally:
-        proc.kill()
-        proc.wait()
-        proc.stdout.close()
-
-
-def test_http_kcenter_job_matches_the_direct_call(service_url):
+def test_http_kcenter_job_matches_the_direct_call(launch_service):
+    service_url, _log = launch_service("--workers", "1", "--backend", "serial")
     client = ServiceClient(service_url, timeout=10.0)
     health = client.healthz()
     assert health["status"] == "ok" and health["version"], health
     assert health["api_version"] == "v1", health
 
-    # the legacy unversioned path still answers, marked deprecated
-    with urllib.request.urlopen(f"{service_url}/healthz", timeout=10.0) as resp:
-        assert resp.headers.get("Deprecation") == "true", dict(resp.headers)
+    # only the versioned API answers
+    with pytest.raises(urllib.error.HTTPError) as exc:
+        urllib.request.urlopen(f"{service_url}/healthz", timeout=10.0)
+    assert exc.value.code == 404
+    assert json.loads(exc.value.read())["error"]["code"] == "no_route"
 
     points = np.random.default_rng(7).normal(scale=3.0, size=(400, 2))
     ds = client.register_points(points)

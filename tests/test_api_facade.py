@@ -20,7 +20,7 @@ from repro import (
     solve_kcenter,
     solve_ksupplier,
 )
-from repro.mpc.executor import ProcessExecutor, SerialExecutor, ThreadedExecutor
+from repro.mpc.executor import ProcessExecutor, SerialExecutor
 from repro.mpc.partition import get_partitioner
 
 M, SEED = 4, 11
@@ -62,7 +62,7 @@ class TestFacadeLegacyParity:
         assert res.radius == legacy.radius
         assert np.array_equal(np.sort(res.suppliers), np.sort(legacy.suppliers))
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_backends_match_serial(self, pts, backend):
         serial = solve_kcenter(pts, 8, machines=M, seed=SEED)
         other = solve_kcenter(pts, 8, machines=M, seed=SEED, backend=backend)
@@ -101,8 +101,9 @@ class TestAssemblyHelpers:
 
     def test_make_executor(self):
         assert isinstance(make_executor("serial"), SerialExecutor)
-        assert isinstance(make_executor("thread"), ThreadedExecutor)
         assert isinstance(make_executor("process"), ProcessExecutor)
+        with pytest.raises(ValueError, match="unknown backend 'thread'"):
+            make_executor("thread")
         ex = SerialExecutor()
         assert make_executor(ex) is ex
 

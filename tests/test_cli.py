@@ -27,13 +27,17 @@ class TestParser:
         args = build_parser().parse_args(["kcenter", "--constants", "paper"])
         assert args.constants == "paper"
 
-    def test_backend_default_and_choices(self):
+    def test_backend_default_and_choices(self, capsys):
         args = build_parser().parse_args(["kcenter"])
         assert args.backend == "serial"
         args = build_parser().parse_args(["diversity", "--backend", "process"])
         assert args.backend == "process"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["kcenter", "--backend", "gpu"])
+        for name in ("gpu", "thread"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["kcenter", "--backend", name])
+            choices = capsys.readouterr().err.split("choose from", 1)[1]
+            assert [c.strip(" ')\n") for c in choices.split(",")] == [
+                "serial", "process", "remote"]
 
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve"])
@@ -249,7 +253,7 @@ class TestCommands:
         )
         assert rc == 0
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_backend_output_identical(self, capsys, backend):
         """The printed solution table must not depend on the backend."""
         argv = [

@@ -10,7 +10,7 @@ from repro.analysis.validation import (
 from repro.core import mpc_diversity, mpc_ksupplier
 from repro.metric.euclidean import EuclideanMetric
 from repro.mpc.cluster import MPCCluster
-from repro.mpc.executor import ThreadedExecutor
+from repro.mpc.executor import ProcessExecutor
 from repro.workloads.geo import world_cities_metric
 from repro.workloads.graphs import grid_graph_metric
 
@@ -35,27 +35,29 @@ class TestExoticCombos:
         # six spread cities on Earth are thousands of km apart
         assert res.diversity > 1000.0
 
-    def test_ksupplier_threaded_executor_identical(self, rng):
+    def test_ksupplier_process_executor_identical(self, rng):
         pts = rng.normal(size=(150, 2))
         metric = EuclideanMetric(pts)
         C, S = np.arange(100), np.arange(100, 150)
         radii = []
-        for executor in (None, ThreadedExecutor(max_workers=6)):
+        for executor in (None, ProcessExecutor(max_workers=2)):
             cluster = MPCCluster(metric, 4, seed=3, executor=executor)
             radii.append(
                 mpc_ksupplier(cluster, C, S, 4, epsilon=0.25).radius
             )
+            cluster.executor.shutdown()
         assert radii[0] == radii[1]
 
-    def test_dominating_set_threaded_identical(self, rng):
+    def test_dominating_set_process_identical(self, rng):
         from repro.core import mpc_dominating_set
 
         pts = rng.uniform(0, 12, size=(200, 2))
         metric = EuclideanMetric(pts)
         sizes = []
-        for executor in (None, ThreadedExecutor(max_workers=6)):
+        for executor in (None, ProcessExecutor(max_workers=2)):
             cluster = MPCCluster(metric, 4, seed=4, executor=executor)
             sizes.append(mpc_dominating_set(cluster, 1.0).size)
+            cluster.executor.shutdown()
         assert sizes[0] == sizes[1]
 
 

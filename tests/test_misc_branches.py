@@ -47,9 +47,9 @@ class TestClusterBranches:
         assert r.sent[0] == 2 * 3 * (1 + pw + 1)  # two receivers
 
     def test_executor_shutdown_via_cluster(self, metric):
-        from repro.mpc.executor import ThreadedExecutor
+        from repro.mpc.executor import ProcessExecutor
 
-        ex = ThreadedExecutor(max_workers=2)
+        ex = ProcessExecutor(max_workers=2)
         cluster = MPCCluster(metric, 3, seed=0, executor=ex)
         out = cluster.map_machines(lambda mach: mach.id)
         assert out == [0, 1, 2]

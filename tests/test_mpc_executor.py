@@ -1,8 +1,9 @@
-"""Tests for the local-work executors: threaded and process execution
-must be bit-for-bit drop-ins for serial — results, communication
-ledger, and oracle counters alike."""
+"""Tests for the local-work executors: process execution must be a
+bit-for-bit drop-in for serial — results, communication ledger, and
+oracle counters alike."""
 
 import gc
+import json
 import os
 import subprocess
 import sys
@@ -18,7 +19,7 @@ import pytest
 import repro
 from repro.core import mpc_diversity, mpc_k_bounded_mis, mpc_kcenter
 from repro.faults import FaultPlan
-from repro.mpc import blas, shm
+from repro.mpc import blas
 from repro.metric.euclidean import EuclideanMetric
 from repro.metric.oracle import CountingOracle
 from repro.mpc.cluster import MPCCluster
@@ -28,7 +29,6 @@ from repro.mpc.executor import (
     ExecutionBackend,
     ProcessExecutor,
     SerialExecutor,
-    ThreadedExecutor,
     get_executor,
 )
 
@@ -38,38 +38,15 @@ class TestExecutorsDirect:
         out = SerialExecutor().map_indexed(lambda i: i * i, 5)
         assert out == [0, 1, 4, 9, 16]
 
-    def test_threaded_order_preserved(self):
-        ex = ThreadedExecutor(max_workers=4)
-        out = ex.map_indexed(lambda i: i * i, 16)
-        assert out == [i * i for i in range(16)]
-        ex.shutdown()
-
-    def test_threaded_single_task_inline(self):
-        ex = ThreadedExecutor()
-        assert ex.map_indexed(lambda i: i + 1, 1) == [1]
-        assert ex._pool is None  # no pool spun up for one task
-
-    def test_threaded_exception_propagates(self):
-        ex = ThreadedExecutor(max_workers=2)
-
-        def boom(i):
-            if i == 3:
-                raise RuntimeError("task 3 failed")
-            return i
-
-        with pytest.raises(RuntimeError, match="task 3"):
-            ex.map_indexed(boom, 8)
-        ex.shutdown()
-
     def test_shutdown_idempotent(self):
-        ex = ThreadedExecutor()
+        ex = _process_executor()
         ex.map_indexed(lambda i: i, 4)
         ex.shutdown()
         ex.shutdown()
 
 
 class TestBitIdenticalResults:
-    """Same seed + threaded executor == same seed + serial executor."""
+    """Same seed + process executor == same seed + serial executor."""
 
     @pytest.fixture
     def metric(self, rng):
@@ -77,9 +54,10 @@ class TestBitIdenticalResults:
 
     def run_both(self, metric, fn):
         out = []
-        for executor in (SerialExecutor(), ThreadedExecutor(max_workers=8)):
+        for executor in (SerialExecutor(), _process_executor()):
             cluster = MPCCluster(metric, 4, seed=7, executor=executor)
             out.append((fn(cluster), cluster))
+            executor.shutdown()
         return out
 
     def test_mis_identical(self, metric):
@@ -175,20 +153,19 @@ class TestProcessExecutorDirect:
 
 class TestBackendProtocolAndFactory:
     def test_all_executors_satisfy_protocol(self):
-        for ex in (SerialExecutor(), ThreadedExecutor(), ProcessExecutor()):
+        for ex in (SerialExecutor(), ProcessExecutor()):
             assert isinstance(ex, ExecutionBackend)
 
     def test_factory_names_and_aliases(self):
         from repro.mpc.remote import RemoteExecutor
 
         assert isinstance(get_executor("serial"), SerialExecutor)
-        assert isinstance(get_executor("thread"), ThreadedExecutor)
         assert isinstance(get_executor("process"), ProcessExecutor)
         assert isinstance(get_executor("remote"), RemoteExecutor)
-        assert set(BACKENDS) == {"serial", "thread", "process", "remote"}
+        assert BACKENDS == ("serial", "process", "remote")
 
     def test_factory_passthrough_and_errors(self):
-        ex = ThreadedExecutor()
+        ex = SerialExecutor()
         assert get_executor(ex) is ex
         with pytest.raises(ValueError, match="unknown backend"):
             get_executor("gpu")
@@ -196,17 +173,17 @@ class TestBackendProtocolAndFactory:
             get_executor(42)
 
     def test_factory_forwards_max_workers(self):
-        assert get_executor("thread", max_workers=3).max_workers == 3
         assert get_executor("process", max_workers=3).max_workers == 3
 
     def test_unknown_backend_error_lists_valid_names(self):
         """The error must name every valid backend, so a typo'd config
-        is self-documenting."""
-        with pytest.raises(ValueError) as exc:
-            get_executor("gpu")
-        message = str(exc.value)
-        for name in BACKENDS:
-            assert repr(name) in message
+        is self-documenting; the removed thread backend is one such
+        typo."""
+        for name in ("gpu", "thread"):
+            with pytest.raises(ValueError) as exc:
+                get_executor(name)
+            assert str(exc.value).endswith(
+                "valid backends: 'serial', 'process', 'remote'")
 
 
 class TestWorkerCountConfiguration:
@@ -238,28 +215,8 @@ class TestWorkerCountConfiguration:
         ex = ProcessExecutor(max_workers=8)
         assert ex.effective_workers(3) == min(3, ex.effective_workers())
 
-    def test_effective_workers_serial_and_thread(self):
+    def test_effective_workers_serial(self):
         assert SerialExecutor().effective_workers(16) == 1
-        assert ThreadedExecutor(max_workers=5).effective_workers(16) == 5
-        assert ThreadedExecutor().effective_workers(4) == 4
-
-    def test_thread_effective_workers_requires_count_when_unsized(self):
-        # without max_workers the pool is sized from the batch — the
-        # old code answered 1 here, understating the real parallelism
-        with pytest.raises(ValueError, match="pass count"):
-            ThreadedExecutor().effective_workers()
-        assert ThreadedExecutor(max_workers=3).effective_workers() == 3
-
-    def test_thread_effective_workers_reports_live_pool_size(self):
-        ex = ThreadedExecutor()
-        try:
-            assert ex.map_indexed(lambda i: i * i, 4) == [0, 1, 4, 9]
-            # the pool was sized by the first batch and is reused, so
-            # that size is the honest answer for any later batch
-            assert ex.effective_workers() == 4
-            assert ex.effective_workers(16) == 4
-        finally:
-            ex.shutdown()
 
     def test_fallback_reports_one_worker(self):
         ex = ProcessExecutor(max_workers=8)
@@ -508,7 +465,6 @@ class TestProcessPool:
     @needs_proc
     def test_dropped_cluster_frees_pool_and_segment(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "2")
-        # 9000 x 16 doubles is above the shared-memory threshold
         points = np.random.default_rng(4).normal(size=(9000, 16))
         gc.collect()
         gc.disable()
@@ -517,16 +473,70 @@ class TestProcessPool:
             if cluster.executor.fallback_reason:
                 pytest.skip(cluster.executor.fallback_reason)
             ref = weakref.ref(cluster)
-            segments = list(cluster.executor._shared)
             repro.solve_diversity(k=4, eps=0.5, cluster=cluster)
             pids = _pool_pids(cluster.executor)
-            assert segments and pids
+            assert pids
             del cluster
             assert ref() is None
-            assert not any(handle in shm._live for handle in segments)
             assert not _child_pids() & set(pids)
         finally:
             gc.enable()
+
+    def test_large_matrix_stays_where_pointset_built_it(self):
+        # a fresh interpreter, so the resource tracker check sees only
+        # this solve; 9000 x 16 doubles is 1.15 MB
+        script = textwrap.dedent("""
+            import json
+            from multiprocessing import resource_tracker
+            import numpy as np
+            import repro
+            from repro.metric.euclidean import EuclideanMetric
+            from repro.metric.oracle import CountingOracle
+            from repro.mpc.executor import ProcessExecutor
+
+            ex = ProcessExecutor(max_workers=2)
+            if ex.fallback_reason:
+                print(json.dumps({"skip": ex.fallback_reason}))
+                raise SystemExit(0)
+            metric = EuclideanMetric(np.random.default_rng(4).normal(size=(9000, 16)))
+            data = metric.points.data
+            oracle = CountingOracle(metric)
+            cluster = repro.build_cluster(metric=oracle, machines=4, seed=1, backend=ex)
+            res = repro.solve_diversity(k=4, eps=0.5, cluster=cluster)
+            forked = [w for w in ex._pool.workers if w is not None]
+            ledger = [oracle.calls, oracle.evaluations]
+            ex.shutdown()
+            print(json.dumps({
+                "forked": len(forked),
+                "serial_fallbacks": ex.recovery_stats()["serial_fallbacks"],
+                "same_array": metric.points.data is data,
+                "writeable": bool(data.flags.writeable),
+                "tracker_pid": resource_tracker._resource_tracker._pid,
+                "ids": res.ids.tolist(), "diversity": res.diversity,
+                "ledger": ledger,
+                "after_shutdown": metric.pairwise([0, 1], [2, 3]).tolist(),
+            }))
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(repro.__file__).parents[1])] + sys.path))
+        out = subprocess.run([sys.executable, "-c", script], env=env, timeout=120,
+                             capture_output=True, text=True, check=True)
+        got = json.loads(out.stdout.splitlines()[-1])
+        if "skip" in got:
+            pytest.skip(got["skip"])
+        assert got["forked"] == 2 and got["serial_fallbacks"] == 0
+        # the workers read the read-only array PointSet built, and no
+        # shared-memory segment (nor the tracker that watches one) exists
+        assert got["same_array"] and not got["writeable"]
+        assert got["tracker_pid"] is None
+        metric = EuclideanMetric(np.random.default_rng(4).normal(size=(9000, 16)))
+        oracle = CountingOracle(metric)
+        cluster = repro.build_cluster(metric=oracle, machines=4, seed=1)
+        serial = repro.solve_diversity(k=4, eps=0.5, cluster=cluster)
+        assert got["ids"] == serial.ids.tolist()
+        assert got["diversity"] == serial.diversity
+        assert got["ledger"] == [oracle.calls, oracle.evaluations]
+        assert got["after_shutdown"] == metric.pairwise([0, 1], [2, 3]).tolist()
 
     @needs_proc
     def test_workers_exit_when_their_driver_dies(self, tmp_path):

@@ -1,5 +1,5 @@
 """The versioned API surface: ``/v1`` routes, the uniform error
-envelope, legacy aliases, and ``GET /v1/jobs`` pagination."""
+envelope, no unversioned paths, and ``GET /v1/jobs`` pagination."""
 
 from __future__ import annotations
 
@@ -43,9 +43,17 @@ def _raw_get(url):
 
 
 class TestVersionedRoutes:
-    def test_client_defaults_to_v1(self, client):
-        assert client.api_version == "v1"
+    def test_client_defaults_to_v1(self, client, monkeypatch):
+        urls = []
+        urlopen = urllib.request.urlopen
+
+        def recording_urlopen(req, *args, **kwargs):
+            urls.append(req.full_url)
+            return urlopen(req, *args, **kwargs)
+
+        monkeypatch.setattr(urllib.request, "urlopen", recording_urlopen)
         health = client.healthz()
+        assert urls == [f"{client.base_url}/v1/healthz"]
         assert health["api_version"] == "v1"
         assert health["role"] == "all"
 
@@ -66,28 +74,18 @@ class TestVersionedRoutes:
         assert "Deprecation" not in headers
 
 
-class TestLegacyAliases:
-    def test_legacy_path_still_answers_with_deprecation(self, server):
-        status, headers, body = _raw_get(f"{server.url}/healthz")
-        assert status == 200
-        assert headers.get("Deprecation") == "true"
-        assert '/v1/healthz' in headers.get("Link", "")
-        assert body["status"] in ("ok", "degraded")
-
-    def test_legacy_client_mode(self, server, points):
-        legacy = ServiceClient(server.url, timeout=30.0, api_version="")
-        ds = legacy.register_points(points)
-        job = legacy.submit(algorithm="kcenter", dataset=ds["id"], k=3)
-        assert legacy.wait(job["id"])["state"] == "done"
-
-    def test_legacy_warns_once_per_path(self, server):
-        _raw_get(f"{server.url}/healthz")
-        assert ("GET", "/healthz") in server._legacy_warned
-        before = len(server._legacy_warned)
-        _raw_get(f"{server.url}/healthz")
-        assert len(server._legacy_warned) == before  # no second entry
-        _raw_get(f"{server.url}/stats")
-        assert ("GET", "/stats") in server._legacy_warned
+class TestUnversionedPaths:
+    def test_unversioned_paths_have_no_route(self, server):
+        body = json.dumps({"algorithm": "kcenter", "dataset": "d", "k": 2}).encode()
+        for req in (urllib.request.Request(f"{server.url}/healthz"),
+                    urllib.request.Request(f"{server.url}/jobs", data=body, headers={
+                        "Content-Type": "application/json"})):
+            with pytest.raises(urllib.error.HTTPError) as exc:
+                urllib.request.urlopen(req, timeout=30)
+            err = json.loads(exc.value.read())["error"]
+            assert exc.value.code == 404 and err["code"] == "no_route"
+            assert err["request_id"] == exc.value.headers["X-Request-Id"]
+            assert "Deprecation" not in exc.value.headers
 
 
 class TestErrorEnvelope:

@@ -162,6 +162,12 @@ class TestJobSpec:
         with pytest.raises(ValueError):
             JobSpec(**bad)
 
+    def test_unknown_backend_error_names_the_backends(self):
+        for name in ("gpu", "thread"):
+            with pytest.raises(ValueError) as exc:
+                JobSpec(algorithm="kcenter", dataset="d", k=1, backend=name)
+            assert str(exc.value).endswith("expected one of serial, process, remote")
+
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match="unknown job field"):
             JobSpec.from_dict({"algorithm": "kcenter", "dataset": "d", "kk": 3})

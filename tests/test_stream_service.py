@@ -227,7 +227,8 @@ class TestDriftDeterminism:
         finally:
             manager.stop()
 
-    def test_drift_reports_byte_identical_across_backends(self, batches):
+    def test_drift_reports_byte_identical_across_backends(self, batches, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "2")
         serial = self._run_chain(batches, "serial")
-        thread = self._run_chain(batches, "thread")
-        assert serial == thread
+        process = self._run_chain(batches, "process")
+        assert serial == process

@@ -20,6 +20,7 @@ from repro.core import WarmStart, mpc_kcenter
 from repro.exceptions import InfeasibleInstanceError
 from repro.metric.euclidean import EuclideanMetric
 from repro.metric.oracle import CountingOracle
+from repro.mpc.executor import ProcessExecutor
 from tests.conftest import make_cluster
 
 
@@ -121,15 +122,17 @@ class TestWarmKCenter:
     ):
         k = 5
         combined = np.vstack([base_points, delta_points])
-        results = {}
-        for backend in ("serial", "thread"):
+        pool = ProcessExecutor(max_workers=2)
+        results = []
+        for backend in ("serial", pool):
             ws = _warm_from_cold(base_points, k, seed=3, machines=4)
             res = solve_kcenter(
                 combined, k=k, seed=3, machines=4,
                 backend=backend, warm_start=ws,
             )
-            results[backend] = (res.centers.tolist(), res.radius, res.tau)
-        assert results["serial"] == results["thread"]
+            results.append((res.centers.tolist(), res.radius, res.tau))
+        pool.shutdown()
+        assert results[0] == results[1]
 
 
 class TestWarmDiversity:
