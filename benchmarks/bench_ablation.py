@@ -131,7 +131,7 @@ def run_ladder_vs_coreset() -> list[dict]:
         wl = make_workload(workload, 1024, seed=0)
         lb = kcenter_lower_bound(wl.metric, 8)
         cluster = MPCCluster(wl.metric, 8, seed=0)
-        _, r4 = mpc_kcenter_coreset(cluster, 8)
+        r4 = mpc_kcenter_coreset(cluster, 8).value
         cluster = MPCCluster(wl.metric, 8, seed=0)
         res = mpc_kcenter(cluster, 8, epsilon=0.1)
         rows.append(

@@ -35,7 +35,8 @@ def main() -> None:
 
     # ---- stage 1: the two-round coreset (lines 1-3 of Algorithm 5) --------
     cluster = MPCCluster(metric, m, seed=1)
-    Q, r = mpc_kcenter_coreset(cluster, k)
+    coreset = mpc_kcenter_coreset(cluster, k)
+    Q, r = coreset.ids, coreset.value
     print(f"stage 1 — coreset: |Q| = {Q.size}, r = r(V, Q) = {r:.4f}")
     print(f"  guarantee: r*/1 <= r <= 4 r*  =>  r* in [{r/4:.4f}, {r:.4f}]")
 

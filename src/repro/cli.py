@@ -778,8 +778,8 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     In-process by default; ``--url`` drives a running service through
     ``POST /v1/datasets/<id>/append`` + ``warm_start`` jobs instead.
     For a fixed seed the ``--json-out`` report is byte-identical either
-    way, across execution backends, and across worker crashes — the CI
-    stream-smoke job diffs exactly that.
+    way, across execution backends, and across worker crashes —
+    ``tests/e2e/test_service_stream.py`` diffs exactly that.
     """
     from repro.workloads.trajectories import trajectory_stream
 

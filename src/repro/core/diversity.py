@@ -41,7 +41,7 @@ def mpc_diversity_coreset(
 
     Returns a :class:`CoresetResult` — a k-subset ``ids`` with
     ``div(ids) = value`` and the guarantee ``value ≤ div_k(V) ≤ 4·value``
-    (Theorem 3's first stage); unpacking as ``Q, r = ...`` keeps working.
+    (Theorem 3's first stage).
 
     With ``warm_start`` (an append-chained child re-solve), each
     machine's GMM runs only over its *delta* points (ids ≥ ``base_n``)
@@ -145,7 +145,8 @@ def mpc_diversity(
     round0 = cluster.round_no
 
     with cluster.obs.span("div/run", k=k, epsilon=epsilon):
-        Q, r = mpc_diversity_coreset(cluster, k, warm_start=warm_start)
+        coreset = mpc_diversity_coreset(cluster, k, warm_start=warm_start)
+        Q, r = coreset.ids, coreset.value
         if r <= 0.0:
             # optimum is 0 (≥ k duplicate points); any k-subset is optimal
             return DiversityResult(

@@ -55,8 +55,7 @@ def mpc_kcenter_coreset(
     """Lines 1–3 of Algorithm 5: the two-round 4-approximation.
 
     Returns a :class:`CoresetResult` with ``|ids| = k`` and
-    ``r* ≤ value = r(V, ids) ≤ 4r*``; unpacking as ``Q, r = ...`` keeps
-    working.
+    ``r* ≤ value = r(V, ids) ≤ 4r*``.
 
     With ``warm_start`` (an append-chained child re-solve), the
     per-machine GMM runs only over each machine's *delta* points (ids
@@ -138,7 +137,8 @@ def mpc_kcenter(
     round0 = cluster.round_no
 
     with cluster.obs.span("kcenter/run", k=k, epsilon=epsilon):
-        Q, r = mpc_kcenter_coreset(cluster, k, warm_start=warm_start)
+        coreset = mpc_kcenter_coreset(cluster, k, warm_start=warm_start)
+        Q, r = coreset.ids, coreset.value
         if r <= 0.0:
             # Q already covers everything at radius 0: optimal.
             return ClusteringResult(

@@ -38,9 +38,7 @@ class CoresetResult(_SerializableResult):
 
     ``ids`` is the k-subset ``Q`` and ``value`` the certified
     4-approximation ``r`` (a radius for k-center, a diversity for
-    diversity maximization — see :attr:`kind`).  Iterating yields
-    ``(ids, value)``, so the historical ``Q, r = mpc_*_coreset(...)``
-    tuple unpacking keeps working unchanged.
+    diversity maximization — see :attr:`kind`).
     """
 
     ids: np.ndarray
@@ -49,12 +47,6 @@ class CoresetResult(_SerializableResult):
     #: which problem the value certifies: 'kcenter' or 'diversity'
     kind: str = "kcenter"
     rounds: int = 0
-
-    def __iter__(self):
-        return iter((self.ids, self.value))
-
-    def __len__(self) -> int:
-        return 2
 
     @property
     def size(self) -> int:

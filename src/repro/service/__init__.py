@@ -27,11 +27,12 @@ Layers (each its own module):
   and a :class:`RetryPolicy` that re-enqueues crashed jobs with
   exponential backoff (see ``docs/fault_tolerance.md``);
 * :mod:`repro.service.store` — the pluggable state layer:
-  ``JobStore`` / ``WorkQueue`` / ``DatasetStore`` / ``ResultStore``
-  protocols with in-memory and SQLite/file backends
-  (:func:`~repro.service.store.open_stores`); a durable state
-  directory is what lets N worker processes and M frontends form one
-  service (see ``docs/persistence.md``);
+  ``JobStore`` / ``AnalysisStore`` / ``WorkQueue`` / ``DatasetStore`` /
+  ``ResultStore`` protocols with in-memory and SQLite/file backends
+  (:func:`~repro.service.store.open_stores`), the job and analysis
+  lifecycles written once over either backend's record table; a
+  durable state directory is what lets N worker processes and M
+  frontends form one service (see ``docs/persistence.md``);
 * :mod:`repro.service.http` — the versioned HTTP/JSON API
   (``POST /v1/datasets``, ``POST /v1/jobs``, ``GET /v1/jobs/<id>``,
   ``DELETE /v1/jobs/<id>``, ``GET /v1/jobs/<id>/trace``,

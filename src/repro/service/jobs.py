@@ -77,6 +77,7 @@ from repro.service.store import (
     ServiceStores,
     UnknownJobError,
     ensure_queued_jobs_enqueued,
+    open_stores,
 )
 
 __all__ = [
@@ -199,26 +200,32 @@ class Job:
     cancel_event: threading.Event = field(default_factory=threading.Event)
     done_event: threading.Event = field(default_factory=threading.Event)
 
+    def to_record(self) -> JobRecord:
+        """The persistable form of this handle."""
+        return JobRecord(
+            id=self.id,
+            spec=self.spec.to_dict(),
+            state=self.state.value,
+            created_at=self.created_at,
+            queued_at=self.queued_at or self.created_at,
+            started_at=self.started_at,
+            finished_at=self.finished_at,
+            result=self.result,
+            error=self.error,
+            cached=self.cached,
+            attempt=self.attempt,
+            attempts=[dict(a) for a in self.attempts],
+            trace_id=self.trace.trace_id if self.trace is not None else None,
+            traceparent=self.trace.to_traceparent() if self.trace is not None else None,
+            cancel_requested=self.cancel_event.is_set(),
+            run_log=self.run_log,
+            version=self.version,
+        )
+
     def describe(self, include_result: bool = True) -> dict:
-        """JSON-safe status record for the API."""
-        out = {
-            "id": self.id,
-            "state": self.state.value,
-            "spec": self.spec.to_dict(),
-            "created_at": self.created_at,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "cached": self.cached,
-            "attempt": self.attempt,
-            "trace_id": self.trace.trace_id if self.trace is not None else None,
-        }
-        if self.attempts:
-            out["attempts"] = [dict(a) for a in self.attempts]
-        if self.error is not None:
-            out["error"] = self.error
-        if include_result and self.result is not None:
-            out["result"] = self.result
-        return out
+        """JSON-safe status record for the API (the shape of
+        :meth:`JobRecord.describe`)."""
+        return self.to_record().describe(include_result)
 
 
 def default_worker_id() -> str:
@@ -342,20 +349,10 @@ class JobManager:
         self.lease_s = float(lease_s)
         self.orphan_requeue_budget = int(orphan_requeue_budget)
         if stores is None:
-            from repro.service.store import (
-                InMemoryAnalysisStore,
-                InMemoryJobStore,
-                InMemoryWorkQueue,
-            )
-
-            stores = ServiceStores(
-                jobs=InMemoryJobStore(),
-                work_queue=InMemoryWorkQueue(limit=queue_limit),
-                datasets=datasets.store,
-                results=cache if cache is not None else ResultCache(),
-                analyses=InMemoryAnalysisStore(),
-                backend="memory",
-            )
+            stores = open_stores(queue_limit=queue_limit)
+            stores.datasets = datasets.store
+            if cache is not None:
+                stores.results = cache
         self.stores = stores
         self._store = stores.jobs
         self._wq = stores.work_queue
@@ -508,27 +505,6 @@ class JobManager:
 
     # -- record <-> handle plumbing -----------------------------------------
 
-    def _record_from_job(self, job: Job) -> JobRecord:
-        return JobRecord(
-            id=job.id,
-            spec=job.spec.to_dict(),
-            state=job.state.value,
-            created_at=job.created_at,
-            queued_at=job.queued_at or job.created_at,
-            started_at=job.started_at,
-            finished_at=job.finished_at,
-            result=job.result,
-            error=job.error,
-            cached=job.cached,
-            attempt=job.attempt,
-            attempts=[dict(a) for a in job.attempts],
-            trace_id=job.trace.trace_id if job.trace is not None else None,
-            traceparent=job.trace.to_traceparent() if job.trace is not None else None,
-            cancel_requested=job.cancel_event.is_set(),
-            run_log=job.run_log,
-            version=job.version,
-        )
-
     def _job_from_record(self, rec: JobRecord) -> Job:
         job = Job(
             id=rec.id,
@@ -640,7 +616,7 @@ class JobManager:
             job.cached = True
             job.state = JobState.DONE
             job.finished_at = time.time()
-            created = self._store.create(self._record_from_job(job))
+            created = self._store.create(job.to_record())
             with self._lock:
                 job.version = created.version
                 self._jobs[job.id] = job
@@ -653,7 +629,7 @@ class JobManager:
             )
             return job
 
-        created = self._store.create(self._record_from_job(job))
+        created = self._store.create(job.to_record())
         with self._lock:
             job.version = created.version
             self._jobs[job.id] = job
@@ -1149,7 +1125,7 @@ class JobManager:
         re-enqueued the job; the result is discarded — harmless, because
         the re-run is bit-identical by the determinism guarantee.
         """
-        rec = self._record_from_job(job)
+        rec = job.to_record()
         rec.state = state.value
         rec.error = error
         rec.finished_at = time.time()
@@ -1303,7 +1279,7 @@ class JobManager:
         delay = self.retry_policy.delay(job.attempt + 1, key=job.id)
         summary = error.strip().splitlines()[-1] if error.strip() else "unknown error"
         now = time.time()
-        rec = self._record_from_job(job)
+        rec = job.to_record()
         rec.attempts.append(
             {
                 "attempt": job.attempt,

@@ -4,19 +4,23 @@ One state directory holds everything N frontends and M workers share:
 
 ```
 <state_dir>/
-  service.db          # jobs, work queue, dataset descriptors, results
+  service.db          # jobs, analyses, work queue, dataset descriptors, results
   datasets/
     <fingerprint>.npy # content-addressed point blobs
 ```
 
 ``service.db`` runs in WAL mode so readers never block the single
 writer, with a generous ``busy_timeout`` so short write collisions
-retry instead of failing.  Every compare-and-set transition
-(:meth:`SqliteJobStore.claim` / :meth:`~SqliteJobStore.finish` /
-:meth:`~SqliteJobStore.recover_orphans`) runs under ``BEGIN
-IMMEDIATE``, which takes the write lock up front — two workers racing
-to claim one job serialize at the database and exactly one sees the
-``queued`` precondition hold.
+retry instead of failing.  Every write goes through one helper,
+:meth:`_SqliteBase._write`, which runs it as an immediate transaction:
+the write lock is taken up front, so two workers racing to claim one
+job serialize at the database and exactly one sees the ``queued``
+precondition hold.
+
+The job and analysis tables are one table type, :class:`_SqliteTable`:
+a keyed, versioned record table that supplies the ``update`` primitive
+the lifecycles in :mod:`repro.service.store` are written over.  A
+subclass names its table, columns, ``counters`` row and row codec.
 
 Serialization choices:
 
@@ -43,20 +47,20 @@ import pickle
 import sqlite3
 import threading
 import time
-from dataclasses import replace
+from dataclasses import fields
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.service.store import (
+    AnalysisLifecycle,
     AnalysisRecord,
+    Change,
     DatasetRecord,
+    JobLifecycle,
     JobRecord,
     QueueFullError,
-    UnknownAnalysisError,
-    UnknownJobError,
-    _orphan_note,
 )
 
 _SCHEMA = """
@@ -172,7 +176,8 @@ class _SqliteBase:
     through a single connection under a process lock keeps transaction
     scoping simple and sidesteps per-thread connection pools.  The lock
     is a *leaf* lock — no store method ever calls back into manager or
-    registry code while holding it.
+    registry code while holding it (a lifecycle's ``change`` only edits
+    the record it is handed).
     """
 
     backend = "sqlite"
@@ -186,148 +191,140 @@ class _SqliteBase:
         with self._lock:
             self._conn.close()
 
-
-def _record_from_row(row: sqlite3.Row) -> JobRecord:
-    return JobRecord(
-        id=row["id"],
-        spec=json.loads(row["spec"]),
-        state=row["state"],
-        created_at=row["created_at"],
-        queued_at=row["queued_at"],
-        started_at=row["started_at"],
-        finished_at=row["finished_at"],
-        result=json.loads(row["result"]) if row["result"] is not None else None,
-        error=row["error"],
-        cached=bool(row["cached"]),
-        attempt=row["attempt"],
-        attempts=json.loads(row["attempts"]),
-        trace_id=row["trace_id"],
-        traceparent=row["traceparent"],
-        cancel_requested=bool(row["cancel_requested"]),
-        worker=row["worker"],
-        lease_expires_at=row["lease_expires_at"],
-        run_log=pickle.loads(row["run_log"]) if row["run_log"] is not None else None,
-        version=row["version"],
-    )
-
-
-def _record_params(rec: JobRecord) -> dict:
-    return {
-        "num": rec.numeric_id,
-        "id": rec.id,
-        "state": rec.state,
-        "spec": json.dumps(rec.spec, sort_keys=True),
-        "created_at": rec.created_at,
-        "queued_at": rec.queued_at,
-        "started_at": rec.started_at,
-        "finished_at": rec.finished_at,
-        "result": json.dumps(rec.result, sort_keys=True) if rec.result is not None else None,
-        "error": rec.error,
-        "cached": int(rec.cached),
-        "attempt": rec.attempt,
-        "attempts": json.dumps(rec.attempts),
-        "trace_id": rec.trace_id,
-        "traceparent": rec.traceparent,
-        "cancel_requested": int(rec.cancel_requested),
-        "worker": rec.worker,
-        "lease_expires_at": rec.lease_expires_at,
-        "run_log": pickle.dumps(rec.run_log) if rec.run_log is not None else None,
-    }
-
-
-_UPDATE_FIELDS = (
-    "state", "spec", "created_at", "queued_at", "started_at", "finished_at",
-    "result", "error", "cached", "attempt", "attempts", "trace_id",
-    "traceparent", "cancel_requested", "worker", "lease_expires_at", "run_log",
-)
-_UPDATE_SQL = ", ".join(f"{f} = :{f}" for f in _UPDATE_FIELDS)
-
-
-class SqliteJobStore(_SqliteBase):
-    """The durable job table (see module docstring for semantics)."""
-
-    def next_job_id(self) -> str:
+    def _write(self, body: Callable[[sqlite3.Connection], object]):
+        """Run ``body(conn)`` as one transaction that holds the write
+        lock from its start; commit and return its value, or roll back
+        and re-raise."""
         with self._lock:
             self._conn.execute("BEGIN IMMEDIATE")
             try:
-                row = self._conn.execute(
-                    "SELECT value FROM counters WHERE name='job_id'"
-                ).fetchone()
-                nxt = (row["value"] if row else 0) + 1
-                self._conn.execute(
-                    "INSERT INTO counters(name, value) VALUES ('job_id', :v) "
-                    "ON CONFLICT(name) DO UPDATE SET value = :v",
-                    {"v": nxt},
-                )
+                out = body(self._conn)
                 self._conn.commit()
             except BaseException:
                 self._conn.rollback()
                 raise
-            return f"job-{nxt:06d}"
+            return out
 
-    def create(self, record: JobRecord) -> JobRecord:
-        record.version = 1
-        params = _record_params(record)
-        params["version"] = 1
+    def _fetchone(self, sql: str, params=()) -> Optional[sqlite3.Row]:
         with self._lock:
-            self._conn.execute(
-                "INSERT INTO jobs (num, id, state, spec, created_at, queued_at, "
-                "started_at, finished_at, result, error, cached, attempt, attempts, "
-                "trace_id, traceparent, cancel_requested, worker, lease_expires_at, "
-                "run_log, version) "
-                "VALUES (:num, :id, :state, :spec, :created_at, :queued_at, "
-                ":started_at, :finished_at, :result, :error, :cached, :attempt, "
-                ":attempts, :trace_id, :traceparent, :cancel_requested, :worker, "
-                ":lease_expires_at, :run_log, :version)",
-                params,
+            return self._conn.execute(sql, params).fetchone()
+
+    def _fetchall(self, sql: str, params=()) -> List[sqlite3.Row]:
+        with self._lock:
+            return self._conn.execute(sql, params).fetchall()
+
+
+class _SqliteTable(_SqliteBase):
+    """A keyed, versioned record table: the storage behind both durable
+    record stores.
+
+    A subclass sets ``TABLE``, ``COUNTER`` (its row in ``counters``),
+    ``RECORD`` and ``COLUMNS`` (the record's fields, one column each),
+    and the codec: the ``JSON`` columns are stored as JSON text (dicts
+    with sorted keys), the ``PICKLED`` ones as pickles, and the
+    ``FLAGS`` as 0/1.  Each row also keeps its id's number in ``num``,
+    the order that listings and cursors follow.
+    """
+
+    TABLE: str
+    COUNTER: str
+    RECORD: type
+    COLUMNS: Tuple[str, ...]
+    JSON: Tuple[str, ...] = ()
+    PICKLED: Tuple[str, ...] = ()
+    FLAGS: Tuple[str, ...] = ()
+
+    def __init__(self, db_path) -> None:
+        super().__init__(db_path)
+        names = ", ".join(self.COLUMNS)
+        marks = ", ".join(f":{c}" for c in self.COLUMNS)
+        sets = ", ".join(f"{c} = :{c}" for c in self.COLUMNS if c != "id")
+        self._select = f"SELECT {names} FROM {self.TABLE}"
+        self._insert_sql = f"INSERT INTO {self.TABLE} (num, {names}) VALUES (:num, {marks})"
+        self._update_sql = f"UPDATE {self.TABLE} SET {sets} WHERE id = :id"
+
+    def _encode(self, record) -> dict:
+        row = {"num": record.numeric_id}
+        for column in self.COLUMNS:
+            value = getattr(record, column)
+            if value is not None:
+                if column in self.JSON:
+                    value = json.dumps(value, sort_keys=isinstance(value, dict))
+                elif column in self.PICKLED:
+                    value = pickle.dumps(value)
+                elif column in self.FLAGS:
+                    value = int(value)
+            row[column] = value
+        return row
+
+    def _decode(self, row: sqlite3.Row):
+        values = dict(zip(self.COLUMNS, row))
+        for column in self.JSON:
+            if values[column] is not None:
+                values[column] = json.loads(values[column])
+        for column in self.PICKLED:
+            if values[column] is not None:
+                values[column] = pickle.loads(values[column])
+        for column in self.FLAGS:
+            values[column] = bool(values[column])
+        return self.RECORD(**values)
+
+    def _next_number(self) -> int:
+        def bump(conn: sqlite3.Connection) -> int:
+            conn.execute(
+                "INSERT INTO counters (name, value) VALUES (?, 1) "
+                "ON CONFLICT(name) DO UPDATE SET value = value + 1",
+                (self.COUNTER,),
             )
-            self._conn.commit()
-        return replace(record)
+            return conn.execute(
+                "SELECT value FROM counters WHERE name = ?", (self.COUNTER,)
+            ).fetchone()[0]
 
-    def get(self, job_id: str) -> JobRecord:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT * FROM jobs WHERE id = ?", (job_id,)
-            ).fetchone()
-        if row is None:
-            raise UnknownJobError(job_id)
-        return _record_from_row(row)
+        return self._write(bump)
 
-    def save(self, record: JobRecord) -> JobRecord:
-        params = _record_params(record)
-        with self._lock:
-            self._conn.execute("BEGIN IMMEDIATE")
-            try:
-                row = self._conn.execute(
-                    "SELECT version FROM jobs WHERE id = ?", (record.id,)
-                ).fetchone()
-                if row is None:
-                    self._conn.rollback()
-                    raise UnknownJobError(record.id)
-                params["version"] = row["version"] + 1
-                self._conn.execute(
-                    f"UPDATE jobs SET {_UPDATE_SQL}, version = :version "
-                    "WHERE id = :id",
-                    params,
-                )
-                self._conn.commit()
-            except BaseException:
-                self._conn.rollback()
-                raise
-        record.version = params["version"]
-        return replace(record)
+    def _insert(self, record) -> None:
+        row = self._encode(record)
+        self._write(lambda conn: conn.execute(self._insert_sql, row))
 
-    def delete(self, job_id: str) -> None:
-        with self._lock:
-            self._conn.execute("DELETE FROM jobs WHERE id = ?", (job_id,))
-            self._conn.commit()
+    def _read(self, record_id: str):
+        row = self._fetchone(f"{self._select} WHERE id = ?", (record_id,))
+        return self._decode(row) if row is not None else None
+
+    def update(self, record_id: str, change: Change):
+        def body(conn: sqlite3.Connection):
+            row = conn.execute(f"{self._select} WHERE id = ?", (record_id,)).fetchone()
+            if row is None:
+                return None
+            current = self._decode(row)
+            version = current.version + 1
+            new = change(current)
+            if new is None:
+                return None
+            new.version = version
+            conn.execute(self._update_sql, self._encode(new))
+            return new
+
+        return self._write(body)
+
+    def _remove(self, ids: Iterable[str]) -> None:
+        rows = [(record_id,) for record_id in ids]
+        self._write(
+            lambda conn: conn.executemany(f"DELETE FROM {self.TABLE} WHERE id = ?", rows)
+        )
+
+    def _ids(self, states: Tuple[str, ...]) -> List[str]:
+        marks = ", ".join("?" for _ in states)
+        rows = self._fetchall(
+            f"SELECT id FROM {self.TABLE} WHERE state IN ({marks}) ORDER BY num", states
+        )
+        return [row[0] for row in rows]
 
     def list(
         self,
         state: Optional[str] = None,
         limit: Optional[int] = None,
         cursor: Optional[str] = None,
-    ) -> Tuple[List[JobRecord], Optional[str]]:
+    ) -> Tuple[list, Optional[str]]:
         clauses, params = [], []
         if state is not None:
             clauses.append("state = ?")
@@ -335,197 +332,55 @@ class SqliteJobStore(_SqliteBase):
         if cursor is not None:
             clauses.append("num > ?")
             params.append(int(cursor.rsplit("-", 1)[1]))
-        sql = "SELECT * FROM jobs"
+        sql = self._select
         if clauses:
             sql += " WHERE " + " AND ".join(clauses)
         sql += " ORDER BY num"
         if limit is not None:
             sql += " LIMIT ?"
             params.append(limit + 1)
-        with self._lock:
-            rows = self._conn.execute(sql, params).fetchall()
+        rows = self._fetchall(sql, params)
         next_cursor = None
         if limit is not None and len(rows) > limit:
             rows = rows[:limit]
             next_cursor = rows[-1]["id"]
-        return [_record_from_row(r) for r in rows], next_cursor
+        return [self._decode(row) for row in rows], next_cursor
 
     def count_by_state(self) -> Dict[str, int]:
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT state, COUNT(*) AS c FROM jobs GROUP BY state"
-            ).fetchall()
+        rows = self._fetchall(
+            f"SELECT state, COUNT(*) AS c FROM {self.TABLE} GROUP BY state"
+        )
         return {row["state"]: row["c"] for row in rows}
 
-    def claim(
-        self, job_id: str, worker: str, lease_expires_at: float
-    ) -> Optional[JobRecord]:
-        with self._lock:
-            self._conn.execute("BEGIN IMMEDIATE")
-            try:
-                cur = self._conn.execute(
-                    "UPDATE jobs SET state='running', worker=?, lease_expires_at=?, "
-                    "started_at=?, version=version+1 "
-                    "WHERE id=? AND state='queued' AND cancel_requested=0",
-                    (worker, lease_expires_at, time.time(), job_id),
-                )
-                won = cur.rowcount == 1
-                row = (
-                    self._conn.execute(
-                        "SELECT * FROM jobs WHERE id = ?", (job_id,)
-                    ).fetchone()
-                    if won
-                    else None
-                )
-                self._conn.commit()
-            except BaseException:
-                self._conn.rollback()
-                raise
-        return _record_from_row(row) if row is not None else None
 
-    def heartbeat(
-        self, job_id: str, worker: str, lease_expires_at: float
-    ) -> Optional[JobRecord]:
-        with self._lock:
-            self._conn.execute("BEGIN IMMEDIATE")
-            try:
-                cur = self._conn.execute(
-                    "UPDATE jobs SET lease_expires_at=?, version=version+1 "
-                    "WHERE id=? AND state='running' AND worker=?",
-                    (lease_expires_at, job_id, worker),
-                )
-                won = cur.rowcount == 1
-                row = (
-                    self._conn.execute(
-                        "SELECT * FROM jobs WHERE id = ?", (job_id,)
-                    ).fetchone()
-                    if won
-                    else None
-                )
-                self._conn.commit()
-            except BaseException:
-                self._conn.rollback()
-                raise
-        return _record_from_row(row) if row is not None else None
+class SqliteJobStore(JobLifecycle, _SqliteTable):
+    """The durable job table."""
 
-    def finish(self, record: JobRecord, worker: str) -> Optional[JobRecord]:
-        record = replace(record, worker=None, lease_expires_at=None)
-        params = _record_params(record)
-        params["expected_worker"] = worker
-        with self._lock:
-            self._conn.execute("BEGIN IMMEDIATE")
-            try:
-                cur = self._conn.execute(
-                    f"UPDATE jobs SET {_UPDATE_SQL}, version = version + 1 "
-                    "WHERE id = :id AND state = 'running' AND worker = :expected_worker",
-                    params,
-                )
-                won = cur.rowcount == 1
-                row = (
-                    self._conn.execute(
-                        "SELECT * FROM jobs WHERE id = :id", params
-                    ).fetchone()
-                    if won
-                    else None
-                )
-                self._conn.commit()
-            except BaseException:
-                self._conn.rollback()
-                raise
-        return _record_from_row(row) if row is not None else None
+    TABLE = "jobs"
+    COUNTER = "job_id"
+    RECORD = JobRecord
+    COLUMNS = tuple(f.name for f in fields(JobRecord))
+    JSON = ("spec", "result", "attempts")
+    PICKLED = ("run_log",)
+    FLAGS = ("cached", "cancel_requested")
 
-    def set_cancel_requested(self, job_id: str) -> JobRecord:
-        with self._lock:
-            self._conn.execute("BEGIN IMMEDIATE")
-            try:
-                cur = self._conn.execute(
-                    "UPDATE jobs SET cancel_requested=1, version=version+1 "
-                    "WHERE id=? AND cancel_requested=0",
-                    (job_id,),
-                )
-                del cur
-                row = self._conn.execute(
-                    "SELECT * FROM jobs WHERE id = ?", (job_id,)
-                ).fetchone()
-                self._conn.commit()
-            except BaseException:
-                self._conn.rollback()
-                raise
-        if row is None:
-            raise UnknownJobError(job_id)
-        return _record_from_row(row)
 
-    def recover_orphans(self, now: float, max_requeues: int = 5) -> List[JobRecord]:
-        recovered: List[JobRecord] = []
-        with self._lock:
-            self._conn.execute("BEGIN IMMEDIATE")
-            try:
-                rows = self._conn.execute(
-                    "SELECT * FROM jobs WHERE state='running' "
-                    "AND lease_expires_at IS NOT NULL AND lease_expires_at < ? "
-                    "ORDER BY num",
-                    (now,),
-                ).fetchall()
-                for row in rows:
-                    rec = _record_from_row(row)
-                    rec.attempts.append(_orphan_note(rec, now))
-                    if rec.cancel_requested:
-                        rec.state = "cancelled"
-                        rec.finished_at = now
-                    elif rec.attempt + 1 > max_requeues:
-                        rec.state = "failed"
-                        rec.error = (
-                            f"orphaned {rec.attempt + 1} times "
-                            f"(requeue budget {max_requeues} exhausted)"
-                        )
-                        rec.finished_at = now
-                    else:
-                        rec.state = "queued"
-                        rec.attempt += 1
-                        rec.queued_at = now
-                        rec.started_at = None
-                    rec.worker = None
-                    rec.lease_expires_at = None
-                    rec.version += 1
-                    params = _record_params(rec)
-                    params["version"] = rec.version
-                    self._conn.execute(
-                        f"UPDATE jobs SET {_UPDATE_SQL}, version = :version "
-                        "WHERE id = :id",
-                        params,
-                    )
-                    recovered.append(rec)
-                self._conn.commit()
-            except BaseException:
-                self._conn.rollback()
-                raise
-        return recovered
+class SqliteAnalysisStore(AnalysisLifecycle, _SqliteTable):
+    """The durable analysis-sweep table."""
 
-    def prune_terminal(self, max_history: int) -> List[str]:
-        with self._lock:
-            self._conn.execute("BEGIN IMMEDIATE")
-            try:
-                rows = self._conn.execute(
-                    "SELECT id FROM jobs "
-                    "WHERE state IN ('done', 'failed', 'cancelled') ORDER BY num"
-                ).fetchall()
-                excess = len(rows) - max_history
-                pruned = [r["id"] for r in rows[:excess]] if excess > 0 else []
-                for jid in pruned:
-                    self._conn.execute("DELETE FROM jobs WHERE id = ?", (jid,))
-                self._conn.commit()
-            except BaseException:
-                self._conn.rollback()
-                raise
-        return pruned
+    TABLE = "analyses"
+    COUNTER = "analysis_id"
+    RECORD = AnalysisRecord
+    COLUMNS = tuple(f.name for f in fields(AnalysisRecord))
+    JSON = ("spec", "cell_job_ids", "report")
 
 
 class SqliteWorkQueue(_SqliteBase):
     """Bounded FIFO over a SQLite table, shared across processes.
 
     ``pop`` polls (SQLite has no cross-process condition variables):
-    each probe atomically deletes the head row under ``BEGIN
-    IMMEDIATE``, sleeping briefly between empty probes until the
+    each probe atomically deletes the head row in one write
+    transaction, sleeping briefly between empty probes until the
     timeout lapses.  The poll interval bounds added latency at ~50 ms,
     which is noise next to a solver run.
     """
@@ -539,43 +394,27 @@ class SqliteWorkQueue(_SqliteBase):
         self.limit = limit
 
     def push(self, job_id: str) -> None:
-        with self._lock:
-            self._conn.execute("BEGIN IMMEDIATE")
-            try:
-                depth = self._conn.execute(
-                    "SELECT COUNT(*) AS c FROM work_queue"
-                ).fetchone()["c"]
-                if depth >= self.limit:
-                    self._conn.rollback()
-                    raise QueueFullError(
-                        f"job queue full ({self.limit} queued); retry later"
-                    )
-                self._conn.execute(
-                    "INSERT INTO work_queue (job_id) VALUES (?)", (job_id,)
+        def body(conn: sqlite3.Connection) -> None:
+            depth = conn.execute("SELECT COUNT(*) FROM work_queue").fetchone()[0]
+            if depth >= self.limit:
+                raise QueueFullError(
+                    f"job queue full ({self.limit} queued); retry later"
                 )
-                self._conn.commit()
-            except QueueFullError:
-                raise
-            except BaseException:
-                self._conn.rollback()
-                raise
+            conn.execute("INSERT INTO work_queue (job_id) VALUES (?)", (job_id,))
+
+        self._write(body)
 
     def _pop_once(self) -> Optional[str]:
-        with self._lock:
-            self._conn.execute("BEGIN IMMEDIATE")
-            try:
-                row = self._conn.execute(
-                    "SELECT seq, job_id FROM work_queue ORDER BY seq LIMIT 1"
-                ).fetchone()
-                if row is not None:
-                    self._conn.execute(
-                        "DELETE FROM work_queue WHERE seq = ?", (row["seq"],)
-                    )
-                self._conn.commit()
-            except BaseException:
-                self._conn.rollback()
-                raise
-        return row["job_id"] if row is not None else None
+        def body(conn: sqlite3.Connection) -> Optional[str]:
+            row = conn.execute(
+                "SELECT seq, job_id FROM work_queue ORDER BY seq LIMIT 1"
+            ).fetchone()
+            if row is None:
+                return None
+            conn.execute("DELETE FROM work_queue WHERE seq = ?", (row["seq"],))
+            return row["job_id"]
+
+        return self._write(body)
 
     def pop(self, timeout: float = 0.1) -> Optional[str]:
         deadline = time.monotonic() + timeout
@@ -589,17 +428,12 @@ class SqliteWorkQueue(_SqliteBase):
             time.sleep(min(self.POLL_INTERVAL_S, remaining))
 
     def depth(self) -> int:
-        with self._lock:
-            return self._conn.execute(
-                "SELECT COUNT(*) AS c FROM work_queue"
-            ).fetchone()["c"]
+        return self._fetchone("SELECT COUNT(*) FROM work_queue")[0]
 
     def __contains__(self, job_id: object) -> bool:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT 1 FROM work_queue WHERE job_id = ? LIMIT 1", (job_id,)
-            ).fetchone()
-        return row is not None
+        return self._fetchone(
+            "SELECT 1 FROM work_queue WHERE job_id = ? LIMIT 1", (job_id,)
+        ) is not None
 
 
 class SqliteDatasetStore(_SqliteBase):
@@ -613,33 +447,29 @@ class SqliteDatasetStore(_SqliteBase):
     def put(self, record: DatasetRecord, points: Optional[np.ndarray]) -> DatasetRecord:
         if points is not None:
             self._write_blob(record.fingerprint, points)
-        with self._lock:
-            self._conn.execute("BEGIN IMMEDIATE")
-            try:
-                existing = self._conn.execute(
-                    "SELECT * FROM datasets WHERE id = ?", (record.id,)
-                ).fetchone()
-                if existing is None:
-                    self._conn.execute(
-                        "INSERT INTO datasets (id, fingerprint, kind, params, n, "
-                        "metric_name, created_at) VALUES (?, ?, ?, ?, ?, ?, ?)",
-                        (
-                            record.id,
-                            record.fingerprint,
-                            record.kind,
-                            json.dumps(record.params, sort_keys=True),
-                            record.n,
-                            record.metric_name,
-                            record.created_at,
-                        ),
-                    )
-                self._conn.commit()
-            except BaseException:
-                self._conn.rollback()
-                raise
-        if existing is not None:
-            return _dataset_from_row(existing)
-        return record
+
+        def body(conn: sqlite3.Connection) -> DatasetRecord:
+            existing = conn.execute(
+                "SELECT * FROM datasets WHERE id = ?", (record.id,)
+            ).fetchone()
+            if existing is not None:
+                return _dataset_from_row(existing)
+            conn.execute(
+                "INSERT INTO datasets (id, fingerprint, kind, params, n, "
+                "metric_name, created_at) VALUES (?, ?, ?, ?, ?, ?, ?)",
+                (
+                    record.id,
+                    record.fingerprint,
+                    record.kind,
+                    json.dumps(record.params, sort_keys=True),
+                    record.n,
+                    record.metric_name,
+                    record.created_at,
+                ),
+            )
+            return record
+
+        return self._write(body)
 
     def _write_blob(self, fingerprint: str, points: np.ndarray) -> None:
         path = self._blob_dir / f"{fingerprint}.npy"
@@ -655,10 +485,7 @@ class SqliteDatasetStore(_SqliteBase):
                 tmp.unlink()
 
     def get(self, ds_id: str) -> Optional[DatasetRecord]:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT * FROM datasets WHERE id = ?", (ds_id,)
-            ).fetchone()
+        row = self._fetchone("SELECT * FROM datasets WHERE id = ?", (ds_id,))
         return _dataset_from_row(row) if row is not None else None
 
     def load_points(self, fingerprint: str) -> Optional[np.ndarray]:
@@ -668,32 +495,21 @@ class SqliteDatasetStore(_SqliteBase):
         return np.load(path)
 
     def list(self) -> List[DatasetRecord]:
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT * FROM datasets ORDER BY seq"
-            ).fetchall()
+        rows = self._fetchall("SELECT * FROM datasets ORDER BY seq")
         return [_dataset_from_row(r) for r in rows]
 
     def find_fingerprint(self, fingerprint: str) -> Optional[DatasetRecord]:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT * FROM datasets WHERE fingerprint = ? ORDER BY seq LIMIT 1",
-                (fingerprint,),
-            ).fetchone()
+        row = self._fetchone(
+            "SELECT * FROM datasets WHERE fingerprint = ? ORDER BY seq LIMIT 1",
+            (fingerprint,),
+        )
         return _dataset_from_row(row) if row is not None else None
 
     def __len__(self) -> int:
-        with self._lock:
-            return self._conn.execute(
-                "SELECT COUNT(*) AS c FROM datasets"
-            ).fetchone()["c"]
+        return self._fetchone("SELECT COUNT(*) FROM datasets")[0]
 
     def __contains__(self, ds_id: object) -> bool:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT 1 FROM datasets WHERE id = ?", (ds_id,)
-            ).fetchone()
-        return row is not None
+        return self._fetchone("SELECT 1 FROM datasets WHERE id = ?", (ds_id,)) is not None
 
 
 def _dataset_from_row(row: sqlite3.Row) -> DatasetRecord:
@@ -743,49 +559,36 @@ class SqliteResultStore(_SqliteBase):
     def put(self, key, payload: dict, run_log=None) -> None:
         text_key = result_key(key)
         blob = pickle.dumps(run_log) if run_log is not None else None
-        with self._lock:
-            self._conn.execute("BEGIN IMMEDIATE")
-            try:
-                # first writer wins: determinism makes later payloads identical
-                self._conn.execute(
-                    "INSERT OR IGNORE INTO results (key, payload, run_log) "
-                    "VALUES (?, ?, ?)",
-                    (text_key, json.dumps(payload, sort_keys=True), blob),
-                )
-                self._conn.execute(
-                    "DELETE FROM results WHERE seq NOT IN ("
-                    "  SELECT seq FROM results ORDER BY seq DESC LIMIT ?)",
-                    (self.max_entries,),
-                )
-                self._conn.commit()
-            except BaseException:
-                self._conn.rollback()
-                raise
+
+        def body(conn: sqlite3.Connection) -> None:
+            # first writer wins: determinism makes later payloads identical
+            conn.execute(
+                "INSERT OR IGNORE INTO results (key, payload, run_log) "
+                "VALUES (?, ?, ?)",
+                (text_key, json.dumps(payload, sort_keys=True), blob),
+            )
+            conn.execute(
+                "DELETE FROM results WHERE seq NOT IN ("
+                "  SELECT seq FROM results ORDER BY seq DESC LIMIT ?)",
+                (self.max_entries,),
+            )
+
+        self._write(body)
 
     def __len__(self) -> int:
-        with self._lock:
-            return self._conn.execute(
-                "SELECT COUNT(*) AS c FROM results"
-            ).fetchone()["c"]
+        return self._fetchone("SELECT COUNT(*) FROM results")[0]
 
     def __contains__(self, key: object) -> bool:
-        text_key = result_key(key)
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT 1 FROM results WHERE key = ?", (text_key,)
-            ).fetchone()
-        return row is not None
+        return self._fetchone(
+            "SELECT 1 FROM results WHERE key = ?", (result_key(key),)
+        ) is not None
 
     def clear(self) -> None:
-        with self._lock:
-            self._conn.execute("DELETE FROM results")
-            self._conn.commit()
+        self._write(lambda conn: conn.execute("DELETE FROM results"))
 
     def stats(self) -> dict:
+        entries = len(self)
         with self._lock:
-            entries = self._conn.execute(
-                "SELECT COUNT(*) AS c FROM results"
-            ).fetchone()["c"]
             total = self.hits + self.misses
             return {
                 "entries": entries,
@@ -794,187 +597,3 @@ class SqliteResultStore(_SqliteBase):
                 "misses_total": self.misses,
                 "hit_ratio": (self.hits / total) if total else 0.0,
             }
-
-
-def _analysis_from_row(row: sqlite3.Row) -> AnalysisRecord:
-    return AnalysisRecord(
-        id=row["id"],
-        spec=json.loads(row["spec"]),
-        state=row["state"],
-        created_at=row["created_at"],
-        finished_at=row["finished_at"],
-        cell_job_ids=json.loads(row["cell_job_ids"]),
-        report=json.loads(row["report"]) if row["report"] is not None else None,
-        error=row["error"],
-        trace_id=row["trace_id"],
-        traceparent=row["traceparent"],
-        version=row["version"],
-    )
-
-
-def _analysis_params(rec: AnalysisRecord) -> dict:
-    return {
-        "num": rec.numeric_id,
-        "id": rec.id,
-        "state": rec.state,
-        "spec": json.dumps(rec.spec, sort_keys=True),
-        "created_at": rec.created_at,
-        "finished_at": rec.finished_at,
-        "cell_job_ids": json.dumps(list(rec.cell_job_ids)),
-        "report": (
-            json.dumps(rec.report, sort_keys=True) if rec.report is not None else None
-        ),
-        "error": rec.error,
-        "trace_id": rec.trace_id,
-        "traceparent": rec.traceparent,
-    }
-
-
-_ANALYSIS_FIELDS = (
-    "state", "spec", "created_at", "finished_at", "cell_job_ids", "report",
-    "error", "trace_id", "traceparent",
-)
-_ANALYSIS_UPDATE_SQL = ", ".join(f"{f} = :{f}" for f in _ANALYSIS_FIELDS)
-
-
-class SqliteAnalysisStore(_SqliteBase):
-    """The durable analysis-sweep table.
-
-    Same transaction discipline as :class:`SqliteJobStore`; the one CAS
-    is :meth:`finalize`, a conditional ``UPDATE … WHERE state =
-    'running'`` — two sweepers racing to attach the report serialize at
-    the database and exactly one wins.
-    """
-
-    def next_analysis_id(self) -> str:
-        with self._lock:
-            self._conn.execute("BEGIN IMMEDIATE")
-            try:
-                row = self._conn.execute(
-                    "SELECT value FROM counters WHERE name='analysis_id'"
-                ).fetchone()
-                nxt = (row["value"] if row else 0) + 1
-                self._conn.execute(
-                    "INSERT INTO counters(name, value) VALUES ('analysis_id', :v) "
-                    "ON CONFLICT(name) DO UPDATE SET value = :v",
-                    {"v": nxt},
-                )
-                self._conn.commit()
-            except BaseException:
-                self._conn.rollback()
-                raise
-            return f"an-{nxt:06d}"
-
-    def create(self, record: AnalysisRecord) -> AnalysisRecord:
-        record.version = 1
-        params = _analysis_params(record)
-        params["version"] = 1
-        with self._lock:
-            self._conn.execute(
-                "INSERT INTO analyses (num, id, state, spec, created_at, "
-                "finished_at, cell_job_ids, report, error, trace_id, traceparent, "
-                "version) "
-                "VALUES (:num, :id, :state, :spec, :created_at, :finished_at, "
-                ":cell_job_ids, :report, :error, :trace_id, :traceparent, :version)",
-                params,
-            )
-            self._conn.commit()
-        return replace(record)
-
-    def get(self, analysis_id: str) -> AnalysisRecord:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT * FROM analyses WHERE id = ?", (analysis_id,)
-            ).fetchone()
-        if row is None:
-            raise UnknownAnalysisError(analysis_id)
-        return _analysis_from_row(row)
-
-    def save(self, record: AnalysisRecord) -> AnalysisRecord:
-        params = _analysis_params(record)
-        with self._lock:
-            self._conn.execute("BEGIN IMMEDIATE")
-            try:
-                row = self._conn.execute(
-                    "SELECT version FROM analyses WHERE id = ?", (record.id,)
-                ).fetchone()
-                if row is None:
-                    self._conn.rollback()
-                    raise UnknownAnalysisError(record.id)
-                params["version"] = row["version"] + 1
-                self._conn.execute(
-                    f"UPDATE analyses SET {_ANALYSIS_UPDATE_SQL}, "
-                    "version = :version WHERE id = :id",
-                    params,
-                )
-                self._conn.commit()
-            except BaseException:
-                self._conn.rollback()
-                raise
-        record.version = params["version"]
-        return replace(record)
-
-    def delete(self, analysis_id: str) -> None:
-        with self._lock:
-            self._conn.execute("DELETE FROM analyses WHERE id = ?", (analysis_id,))
-            self._conn.commit()
-
-    def list(
-        self,
-        state: Optional[str] = None,
-        limit: Optional[int] = None,
-        cursor: Optional[str] = None,
-    ) -> Tuple[List[AnalysisRecord], Optional[str]]:
-        clauses, params = [], []
-        if state is not None:
-            clauses.append("state = ?")
-            params.append(state)
-        if cursor is not None:
-            clauses.append("num > ?")
-            params.append(int(cursor.rsplit("-", 1)[1]))
-        sql = "SELECT * FROM analyses"
-        if clauses:
-            sql += " WHERE " + " AND ".join(clauses)
-        sql += " ORDER BY num"
-        if limit is not None:
-            sql += " LIMIT ?"
-            params.append(limit + 1)
-        with self._lock:
-            rows = self._conn.execute(sql, params).fetchall()
-        next_cursor = None
-        if limit is not None and len(rows) > limit:
-            rows = rows[:limit]
-            next_cursor = rows[-1]["id"]
-        return [_analysis_from_row(r) for r in rows], next_cursor
-
-    def count_by_state(self) -> Dict[str, int]:
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT state, COUNT(*) AS c FROM analyses GROUP BY state"
-            ).fetchall()
-        return {row["state"]: row["c"] for row in rows}
-
-    def finalize(self, record: AnalysisRecord) -> Optional[AnalysisRecord]:
-        params = _analysis_params(record)
-        with self._lock:
-            self._conn.execute("BEGIN IMMEDIATE")
-            try:
-                cur = self._conn.execute(
-                    f"UPDATE analyses SET {_ANALYSIS_UPDATE_SQL}, "
-                    "version = version + 1 "
-                    "WHERE id = :id AND state = 'running'",
-                    params,
-                )
-                won = cur.rowcount == 1
-                row = (
-                    self._conn.execute(
-                        "SELECT * FROM analyses WHERE id = :id", params
-                    ).fetchone()
-                    if won
-                    else None
-                )
-                self._conn.commit()
-            except BaseException:
-                self._conn.rollback()
-                raise
-        return _analysis_from_row(row) if row is not None else None

@@ -1,48 +1,53 @@
-"""Pluggable service state: store protocols and the in-memory backends.
+"""Pluggable service state: store protocols, the lifecycles, and the in-memory backend.
 
-PR 3's service kept its state in plain dictionaries inside
-:class:`~repro.service.jobs.JobManager`, ``DatasetRegistry`` and
-``ResultCache`` — a restart lost everything and a single process capped
-throughput.  This module extracts that state behind small
-protocols so the rest of the service never touches a dict directly:
+The service keeps its state behind five small protocols, so nothing
+above this module touches a dict or a SQL statement:
 
 * :class:`JobStore`   — the job table: records, atomic state
-  transitions (claim / finish / cancel), lease bookkeeping, orphan
-  recovery, listing with pagination, and bounded terminal history;
+  transitions (claim / heartbeat / finish / cancel), orphan recovery,
+  listing with pagination, and bounded terminal history;
 * :class:`WorkQueue`  — the bounded FIFO of queued job ids that worker
   processes drain;
 * :class:`DatasetStore` — dataset descriptors plus their point blobs,
   content-addressed by the existing fingerprints;
 * :class:`ResultStore` — the ``cache_key → (payload, run_log)``
   mapping (the in-memory implementation is
-  :class:`~repro.service.cache.ResultCache`, unchanged);
+  :class:`~repro.service.cache.ResultCache`);
 * :class:`AnalysisStore` — the analysis-sweep table (jobs-of-jobs, see
   :mod:`repro.sweeps`): records, listing with pagination, and the
   atomic report finalization.
 
-Two implementations exist for each: the in-memory ones here (exactly
-the PR-3 semantics, now behind the protocol) and the SQLite/file-backed
-ones in :mod:`repro.service.sqlite_store`.  :func:`open_stores` picks a
-backend: ``open_stores()`` is volatile memory, ``open_stores(path)``
-is a durable state directory shared by any number of frontend and
-worker processes.
+The job and analysis lifecycles are written once, here:
+:class:`JobLifecycle` and :class:`AnalysisLifecycle` decide every
+transition over one write primitive, ``update(id, change)`` — an atomic
+read-change-write that stores the changed record with ``version`` one
+higher, or writes nothing when the id is unknown or ``change``
+declines.  A backend only supplies a keyed, versioned record table:
+:class:`MemoryTable` here (a dict under a lock), or the SQLite table in
+:mod:`repro.service.sqlite_store`.  :func:`open_stores` picks a
+backend: ``open_stores()`` is volatile memory, ``open_stores(path)`` is
+a durable state directory shared by any number of frontend and worker
+processes.
 
 Concurrency contract (both backends): every method is thread-safe, and
 the compare-and-set transitions (:meth:`JobStore.claim`,
-:meth:`JobStore.finish`, :meth:`JobStore.recover_orphans`) are atomic —
-two workers racing for one job see exactly one winner.  Records carry a
-monotonically increasing ``version`` so readers can tell stale
-snapshots from fresh ones.
+:meth:`JobStore.finish`, :meth:`JobStore.recover_orphans`,
+:meth:`AnalysisStore.finalize`) are atomic — two workers racing for one
+job see exactly one winner.  Records carry a ``version`` that every
+write raises by one, so readers can tell stale snapshots from fresh
+ones.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 import queue
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Protocol, Tuple, runtime_checkable
+from typing import Any, Callable, Dict, Iterable, List, Optional, Protocol, Tuple, runtime_checkable
 
 import numpy as np
 
@@ -122,6 +127,15 @@ class JobRecord:
         """Submission-order sort key (``job-000042`` → 42)."""
         return int(self.id.rsplit("-", 1)[1])
 
+    def copy(self) -> "JobRecord":
+        """A copy that shares no container a transition edits; result
+        payloads and run logs are written whole, never edited, and are
+        shared."""
+        out = copy.copy(self)
+        out.spec = dict(self.spec)
+        out.attempts = list(self.attempts)
+        return out
+
     def describe(self, include_result: bool = True) -> dict:
         """JSON-safe status record for the API (one shape for live
         handles and store records — ``Job.describe`` delegates here)."""
@@ -180,6 +194,14 @@ class AnalysisRecord:
     def numeric_id(self) -> int:
         """Submission-order sort key (``an-000042`` → 42)."""
         return int(self.id.rsplit("-", 1)[1])
+
+    def copy(self) -> "AnalysisRecord":
+        """A copy that shares no container a transition edits (the
+        report is written whole, never edited, and is shared)."""
+        out = copy.copy(self)
+        out.spec = dict(self.spec)
+        out.cell_job_ids = list(self.cell_job_ids)
+        return out
 
     def describe(self, include_report: bool = False) -> dict:
         """JSON-safe status record for the API."""
@@ -357,7 +379,7 @@ class ResultStore(Protocol):
 
 
 # ---------------------------------------------------------------------------
-# in-memory implementations
+# the lifecycles, written once over a record table
 # ---------------------------------------------------------------------------
 
 
@@ -373,258 +395,262 @@ def _orphan_note(record: JobRecord, now: float) -> dict:
     }
 
 
-class InMemoryJobStore:
-    """Dict-backed :class:`JobStore` — PR-3 semantics behind the protocol.
+#: a change handed to ``update``: edits the current record (a private
+#: copy) and returns the record to store, or ``None`` to decline
+Change = Callable[[Any], Optional[Any]]
 
-    State dies with the process; orphan recovery still works within a
-    process (a record whose lease lapsed is recoverable), which is what
-    the backend-parity contract tests exercise.
+
+class _Lifecycle:
+    """What job and analysis stores share, over a record table.
+
+    A backend mixes this in with a table that supplies the primitives:
+    ``_next_number()`` (from the table's id counter), ``_insert(record)``,
+    ``_read(id)`` (a copy, or ``None``), ``update(id, change)``,
+    ``_remove(ids)``, ``_ids(states)`` (ids only, in submission order),
+    ``list`` and ``count_by_state``.
+
+    Every transition writes through ``update``: an atomic
+    read-change-write that stores what ``change`` returns with
+    ``version`` one higher and returns it, or writes nothing and
+    returns ``None`` when the id is unknown or ``change`` declines.  No
+    returned record shares a mutable field with the stored one.
+    """
+
+    PREFIX: str
+    UNKNOWN: type
+
+    def _new_id(self) -> str:
+        return f"{self.PREFIX}-{self._next_number():06d}"
+
+    def create(self, record):
+        record.version = 1
+        self._insert(record)
+        return record.copy()
+
+    def get(self, record_id: str):
+        record = self._read(record_id)
+        if record is None:
+            raise self.UNKNOWN(record_id)
+        return record
+
+    def save(self, record):
+        saved = self.update(record.id, lambda current: record)
+        if saved is None:
+            raise self.UNKNOWN(record.id)
+        return saved
+
+    def delete(self, record_id: str) -> None:
+        self._remove([record_id])
+
+
+class JobLifecycle(_Lifecycle):
+    """Every job transition, decided in one place for both backends.
+
+    These are where the service relies on determinism: a seeded run
+    re-runs bit-identically, so a claim, a finish or an orphan requeue
+    need only be decided exactly once — which ``update``'s atomicity
+    guarantees.
+    """
+
+    PREFIX = "job"
+    UNKNOWN = UnknownJobError
+
+    def next_job_id(self) -> str:
+        return self._new_id()
+
+    def claim(
+        self, job_id: str, worker: str, lease_expires_at: float
+    ) -> Optional[JobRecord]:
+        def change(rec: JobRecord) -> Optional[JobRecord]:
+            if rec.state != "queued" or rec.cancel_requested:
+                return None
+            rec.state = "running"
+            rec.worker = worker
+            rec.lease_expires_at = lease_expires_at
+            rec.started_at = time.time()
+            return rec
+
+        return self.update(job_id, change)
+
+    def heartbeat(
+        self, job_id: str, worker: str, lease_expires_at: float
+    ) -> Optional[JobRecord]:
+        def change(rec: JobRecord) -> Optional[JobRecord]:
+            if rec.state != "running" or rec.worker != worker:
+                return None
+            rec.lease_expires_at = lease_expires_at
+            return rec
+
+        return self.update(job_id, change)
+
+    def finish(self, record: JobRecord, worker: str) -> Optional[JobRecord]:
+        def change(current: JobRecord) -> Optional[JobRecord]:
+            if current.state != "running" or current.worker != worker:
+                return None
+            return replace(record, worker=None, lease_expires_at=None)
+
+        return self.update(record.id, change)
+
+    def set_cancel_requested(self, job_id: str) -> JobRecord:
+        def change(rec: JobRecord) -> Optional[JobRecord]:
+            if rec.cancel_requested:
+                return None  # already requested: no write, no version bump
+            rec.cancel_requested = True
+            return rec
+
+        updated = self.update(job_id, change)
+        return updated if updated is not None else self.get(job_id)
+
+    def recover_orphans(self, now: float, max_requeues: int = 5) -> List[JobRecord]:
+        def expired(rec: JobRecord) -> bool:
+            return (
+                rec.state == "running"
+                and rec.lease_expires_at is not None
+                and rec.lease_expires_at < now
+            )
+
+        def requeue(rec: JobRecord) -> Optional[JobRecord]:
+            # re-checked inside the write: a heartbeat that landed since
+            # the listing keeps its job running
+            if not expired(rec):
+                return None
+            rec.attempts.append(_orphan_note(rec, now))
+            if rec.cancel_requested:
+                rec.state = "cancelled"
+                rec.finished_at = now
+            elif rec.attempt + 1 > max_requeues:
+                rec.state = "failed"
+                rec.error = (
+                    f"orphaned {rec.attempt + 1} times "
+                    f"(requeue budget {max_requeues} exhausted)"
+                )
+                rec.finished_at = now
+            else:
+                rec.state = "queued"
+                rec.attempt += 1
+                rec.queued_at = now
+                rec.started_at = None
+            rec.worker = None
+            rec.lease_expires_at = None
+            return rec
+
+        running, _ = self.list(state="running")
+        recovered = (self.update(rec.id, requeue) for rec in running if expired(rec))
+        return [rec for rec in recovered if rec is not None]
+
+    def prune_terminal(self, max_history: int) -> List[str]:
+        # ids only: this runs after every terminal commit, and decoding
+        # whole records here would cost O(history) per job
+        terminal = self._ids(TERMINAL_STATES)
+        pruned = terminal[: max(0, len(terminal) - max_history)]
+        if pruned:
+            self._remove(pruned)
+        return pruned
+
+
+class AnalysisLifecycle(_Lifecycle):
+    """The analysis transitions: the one race to arbitrate is
+    finalization, a compare-and-set on ``state == 'running'``."""
+
+    PREFIX = "an"
+    UNKNOWN = UnknownAnalysisError
+
+    def next_analysis_id(self) -> str:
+        return self._new_id()
+
+    def finalize(self, record: AnalysisRecord) -> Optional[AnalysisRecord]:
+        return self.update(
+            record.id, lambda current: record if current.state == "running" else None
+        )
+
+
+# ---------------------------------------------------------------------------
+# in-memory implementations
+# ---------------------------------------------------------------------------
+
+
+class MemoryTable:
+    """A keyed, versioned record table: a dict under one lock.
+
+    A stored record is never edited in place — ``update`` swaps in a
+    fresh copy — so readers copy it after releasing the lock.  State
+    dies with the process; orphan recovery still works within a process
+    (a record whose lease lapsed is recoverable).
     """
 
     backend = "memory"
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._records: Dict[str, JobRecord] = {}
-        self._ids = itertools.count(1)
+        self._records: Dict[str, Any] = {}
+        self._numbers = itertools.count(1)
 
-    def next_job_id(self) -> str:
-        return f"job-{next(self._ids):06d}"
+    def _next_number(self) -> int:
+        return next(self._numbers)
 
-    def create(self, record: JobRecord) -> JobRecord:
+    def _insert(self, record) -> None:
         with self._lock:
-            record.version = 1
-            self._records[record.id] = replace(
-                record, attempts=list(record.attempts), spec=dict(record.spec)
-            )
-            return self._snapshot(record.id)
+            self._records[record.id] = record.copy()
 
-    def get(self, job_id: str) -> JobRecord:
+    def _read(self, record_id: str):
         with self._lock:
-            if job_id not in self._records:
-                raise UnknownJobError(job_id)
-            return self._snapshot(job_id)
+            record = self._records.get(record_id)
+        return record.copy() if record is not None else None
 
-    def save(self, record: JobRecord) -> JobRecord:
+    def update(self, record_id: str, change: Change):
         with self._lock:
-            current = self._records.get(record.id)
+            current = self._records.get(record_id)
             if current is None:
-                raise UnknownJobError(record.id)
-            record.version = current.version + 1
-            self._records[record.id] = replace(
-                record, attempts=list(record.attempts), spec=dict(record.spec)
-            )
-            return self._snapshot(record.id)
+                return None
+            version = current.version + 1
+            new = change(current.copy())
+            if new is None:
+                return None
+            new.version = version
+            self._records[record_id] = new.copy()
+        return new
 
-    def delete(self, job_id: str) -> None:
+    def _remove(self, ids: Iterable[str]) -> None:
         with self._lock:
-            self._records.pop(job_id, None)
+            for record_id in ids:
+                self._records.pop(record_id, None)
+
+    def _ids(self, states: Tuple[str, ...]) -> List[str]:
+        with self._lock:
+            records = [r for r in self._records.values() if r.state in states]
+        return [r.id for r in sorted(records, key=lambda r: r.numeric_id)]
 
     def list(
         self,
         state: Optional[str] = None,
         limit: Optional[int] = None,
         cursor: Optional[str] = None,
-    ) -> Tuple[List[JobRecord], Optional[str]]:
+    ) -> Tuple[list, Optional[str]]:
         with self._lock:
-            records = sorted(self._records.values(), key=lambda r: r.numeric_id)
+            records = list(self._records.values())
         if state is not None:
             records = [r for r in records if r.state == state]
         if cursor is not None:
             after = int(cursor.rsplit("-", 1)[1])
             records = [r for r in records if r.numeric_id > after]
+        records.sort(key=lambda r: r.numeric_id)
         next_cursor = None
         if limit is not None and len(records) > limit:
             records = records[:limit]
             next_cursor = records[-1].id
-        return [replace(r, attempts=list(r.attempts)) for r in records], next_cursor
+        return [r.copy() for r in records], next_cursor
 
     def count_by_state(self) -> Dict[str, int]:
         with self._lock:
-            out: Dict[str, int] = {}
-            for rec in self._records.values():
-                out[rec.state] = out.get(rec.state, 0) + 1
-            return out
-
-    def claim(
-        self, job_id: str, worker: str, lease_expires_at: float
-    ) -> Optional[JobRecord]:
-        with self._lock:
-            rec = self._records.get(job_id)
-            if rec is None or rec.state != "queued" or rec.cancel_requested:
-                return None
-            rec.state = "running"
-            rec.worker = worker
-            rec.lease_expires_at = lease_expires_at
-            rec.started_at = time.time()
-            rec.version += 1
-            return self._snapshot(job_id)
-
-    def heartbeat(
-        self, job_id: str, worker: str, lease_expires_at: float
-    ) -> Optional[JobRecord]:
-        with self._lock:
-            rec = self._records.get(job_id)
-            if rec is None or rec.state != "running" or rec.worker != worker:
-                return None
-            rec.lease_expires_at = lease_expires_at
-            rec.version += 1
-            return self._snapshot(job_id)
-
-    def finish(self, record: JobRecord, worker: str) -> Optional[JobRecord]:
-        with self._lock:
-            current = self._records.get(record.id)
-            if current is None or current.state != "running" or current.worker != worker:
-                return None
-            record.worker = None
-            record.lease_expires_at = None
-            record.version = current.version + 1
-            self._records[record.id] = replace(
-                record, attempts=list(record.attempts), spec=dict(record.spec)
-            )
-            return self._snapshot(record.id)
-
-    def set_cancel_requested(self, job_id: str) -> JobRecord:
-        with self._lock:
-            rec = self._records.get(job_id)
-            if rec is None:
-                raise UnknownJobError(job_id)
-            if not rec.cancel_requested:
-                rec.cancel_requested = True
-                rec.version += 1
-            return self._snapshot(job_id)
-
-    def recover_orphans(self, now: float, max_requeues: int = 5) -> List[JobRecord]:
-        recovered: List[JobRecord] = []
-        with self._lock:
-            for rec in self._records.values():
-                if rec.state != "running":
-                    continue
-                if rec.lease_expires_at is None or rec.lease_expires_at >= now:
-                    continue
-                rec.attempts.append(_orphan_note(rec, now))
-                if rec.cancel_requested:
-                    rec.state = "cancelled"
-                    rec.finished_at = now
-                elif rec.attempt + 1 > max_requeues:
-                    rec.state = "failed"
-                    rec.error = (
-                        f"orphaned {rec.attempt + 1} times "
-                        f"(requeue budget {max_requeues} exhausted)"
-                    )
-                    rec.finished_at = now
-                else:
-                    rec.state = "queued"
-                    rec.attempt += 1
-                    rec.queued_at = now
-                rec.worker = None
-                rec.lease_expires_at = None
-                rec.started_at = None if rec.state == "queued" else rec.started_at
-                rec.version += 1
-                recovered.append(self._snapshot(rec.id))
-        return recovered
-
-    def prune_terminal(self, max_history: int) -> List[str]:
-        with self._lock:
-            terminal = [
-                r.id
-                for r in sorted(self._records.values(), key=lambda r: r.numeric_id)
-                if r.terminal
-            ]
-            excess = len(terminal) - max_history
-            pruned = terminal[:excess] if excess > 0 else []
-            for jid in pruned:
-                del self._records[jid]
-            return pruned
-
-    def _snapshot(self, job_id: str) -> JobRecord:
-        rec = self._records[job_id]
-        return replace(rec, attempts=list(rec.attempts), spec=dict(rec.spec))
+            return dict(Counter(r.state for r in self._records.values()))
 
 
-class InMemoryAnalysisStore:
-    """Dict-backed :class:`AnalysisStore`."""
+class InMemoryJobStore(JobLifecycle, MemoryTable):
+    """Volatile :class:`JobStore`: the job lifecycle over a dict."""
 
-    backend = "memory"
 
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._records: Dict[str, AnalysisRecord] = {}
-        self._ids = itertools.count(1)
-
-    def next_analysis_id(self) -> str:
-        return f"an-{next(self._ids):06d}"
-
-    def create(self, record: AnalysisRecord) -> AnalysisRecord:
-        with self._lock:
-            record.version = 1
-            self._records[record.id] = self._copy(record)
-            return self._snapshot(record.id)
-
-    def get(self, analysis_id: str) -> AnalysisRecord:
-        with self._lock:
-            if analysis_id not in self._records:
-                raise UnknownAnalysisError(analysis_id)
-            return self._snapshot(analysis_id)
-
-    def save(self, record: AnalysisRecord) -> AnalysisRecord:
-        with self._lock:
-            current = self._records.get(record.id)
-            if current is None:
-                raise UnknownAnalysisError(record.id)
-            record.version = current.version + 1
-            self._records[record.id] = self._copy(record)
-            return self._snapshot(record.id)
-
-    def delete(self, analysis_id: str) -> None:
-        with self._lock:
-            self._records.pop(analysis_id, None)
-
-    def list(
-        self,
-        state: Optional[str] = None,
-        limit: Optional[int] = None,
-        cursor: Optional[str] = None,
-    ) -> Tuple[List[AnalysisRecord], Optional[str]]:
-        with self._lock:
-            records = sorted(self._records.values(), key=lambda r: r.numeric_id)
-            records = [self._copy(r) for r in records]
-        if state is not None:
-            records = [r for r in records if r.state == state]
-        if cursor is not None:
-            after = int(cursor.rsplit("-", 1)[1])
-            records = [r for r in records if r.numeric_id > after]
-        next_cursor = None
-        if limit is not None and len(records) > limit:
-            records = records[:limit]
-            next_cursor = records[-1].id
-        return records, next_cursor
-
-    def count_by_state(self) -> Dict[str, int]:
-        with self._lock:
-            out: Dict[str, int] = {}
-            for rec in self._records.values():
-                out[rec.state] = out.get(rec.state, 0) + 1
-            return out
-
-    def finalize(self, record: AnalysisRecord) -> Optional[AnalysisRecord]:
-        with self._lock:
-            current = self._records.get(record.id)
-            if current is None or current.state != "running":
-                return None
-            record.version = current.version + 1
-            self._records[record.id] = self._copy(record)
-            return self._snapshot(record.id)
-
-    def _copy(self, record: AnalysisRecord) -> AnalysisRecord:
-        return replace(
-            record,
-            spec=dict(record.spec),
-            cell_job_ids=list(record.cell_job_ids),
-        )
-
-    def _snapshot(self, analysis_id: str) -> AnalysisRecord:
-        return self._copy(self._records[analysis_id])
+class InMemoryAnalysisStore(AnalysisLifecycle, MemoryTable):
+    """Volatile :class:`AnalysisStore`: the analysis lifecycle over a dict."""
 
 
 class InMemoryWorkQueue:

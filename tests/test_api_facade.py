@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from repro import (
-    CoresetResult,
     EuclideanMetric,
     ManhattanMetric,
     MPCCluster,
@@ -120,15 +119,6 @@ class TestAssemblyHelpers:
 
 
 class TestCoresetResult:
-    def test_tuple_unpacking_back_compat(self, pts):
-        cluster = build_cluster(pts, machines=M, seed=SEED)
-        result = mpc_kcenter_coreset(cluster, 6)
-        Q, r = result  # the historical calling convention
-        assert isinstance(result, CoresetResult)
-        assert np.array_equal(Q, result.ids)
-        assert r == result.value
-        assert len(result) == 2
-
     def test_fields(self, pts):
         cluster = build_cluster(pts, machines=M, seed=SEED)
         result = mpc_kcenter_coreset(cluster, 6)
@@ -144,5 +134,4 @@ class TestCoresetResult:
         cluster = build_cluster(pts, machines=M, seed=SEED)
         result = mpc_diversity_coreset(cluster, 6)
         assert result.kind == "diversity"
-        ids, value = result
-        assert ids.size == 6 and value > 0
+        assert result.ids.size == 6 and result.value > 0

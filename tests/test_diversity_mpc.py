@@ -18,21 +18,22 @@ class TestCoreset:
         for k in (2, 3):
             _, opt = exact_diversity(metric, k)
             cluster = MPCCluster(metric, 3, seed=0)
-            Q, r = mpc_diversity_coreset(cluster, k)
+            coreset = mpc_diversity_coreset(cluster, k)
+            Q, r = coreset.ids, coreset.value
             assert Q.size == k
             assert opt / 4.0 - 1e-9 <= r <= opt + 1e-9
 
     def test_r_is_actual_diversity_of_q(self, medium_metric):
         cluster = MPCCluster(medium_metric, 4, seed=0)
-        Q, r = mpc_diversity_coreset(cluster, 8)
-        assert r == pytest.approx(float(medium_metric.diversity(Q)))
+        coreset = mpc_diversity_coreset(cluster, 8)
+        assert coreset.value == pytest.approx(float(medium_metric.diversity(coreset.ids)))
 
     def test_beats_indyk_coreset(self, medium_metric):
         """The max-with-local-diversities refinement can only help."""
         from repro.baselines.indyk import indyk_diversity
 
         cluster_a = MPCCluster(medium_metric, 4, seed=0)
-        _, r_ours = mpc_diversity_coreset(cluster_a, 8)
+        r_ours = mpc_diversity_coreset(cluster_a, 8).value
         cluster_b = MPCCluster(medium_metric, 4, seed=0)
         _, r_indyk = indyk_diversity(cluster_b, 8)
         assert r_ours >= r_indyk - 1e-9

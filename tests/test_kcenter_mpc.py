@@ -18,13 +18,15 @@ class TestCoreset:
         for k in (2, 3):
             _, opt = exact_kcenter(metric, k)
             cluster = MPCCluster(metric, 3, seed=0)
-            Q, r = mpc_kcenter_coreset(cluster, k)
+            coreset = mpc_kcenter_coreset(cluster, k)
+            Q, r = coreset.ids, coreset.value
             assert Q.size == k
             assert opt - 1e-9 <= r <= 4.0 * opt + 1e-9
 
     def test_r_is_actual_radius(self, medium_metric):
         cluster = MPCCluster(medium_metric, 4, seed=0)
-        Q, r = mpc_kcenter_coreset(cluster, 8)
+        coreset = mpc_kcenter_coreset(cluster, 8)
+        Q, r = coreset.ids, coreset.value
         true_r = float(medium_metric.dist_to_set(np.arange(medium_metric.n), Q).max())
         assert r == pytest.approx(true_r)
 

@@ -361,3 +361,42 @@ class TestWaitSurvivesRestart:
                 client.wait(job["id"], timeout=0.3, poll_s=0.02)
         finally:
             srv.shutdown_service()
+
+
+class TestOneJobShape:
+    def test_job_get_without_result_equals_its_list_entry(self, registry, monkeypatch):
+        _, ds = registry
+        crashed = set()
+
+        def crash_seed_one_once(spec, dataset, **kwargs):
+            if spec.seed == 1 and kwargs["job_id"] not in crashed:
+                crashed.add(kwargs["job_id"])
+                raise OSError("synthetic infra crash")
+            return {"record": {"ok": True}}, RunLog()
+
+        manager = make_manager(registry, monkeypatch, crash_seed_one_once)
+        srv = serve(port=0, manager=manager)
+        run_in_thread(srv)
+        try:
+            client = ServiceClient(srv.url, timeout=30.0)
+
+            def submit(seed):
+                return client.submit(algorithm="kcenter", dataset=ds.id, k=3, seed=seed)
+
+            done = client.wait(submit(0)["id"], timeout=30)
+            retried = client.wait(submit(1)["id"], timeout=30)
+            manager.pause()
+            time.sleep(0.25)  # let workers park (pause() takes one poll cycle)
+            cancelled = client.cancel(submit(2)["id"])
+            manager.resume()
+            assert [done["state"], retried["state"], cancelled["state"]] == [
+                "done", "done", "cancelled"]
+            assert "attempts" not in done and len(retried["attempts"]) == 1
+
+            listed = {job["id"]: job for job in client.jobs()}
+            for job in (done, retried, cancelled):
+                got = client.job(job["id"])
+                got.pop("result", None)
+                assert got == listed[job["id"]]
+        finally:
+            srv.shutdown_service()

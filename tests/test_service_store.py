@@ -9,12 +9,15 @@ recovery, same pagination contract, same cache behaviour.
 
 from __future__ import annotations
 
+import sqlite3
+import sys
 import threading
 
 import numpy as np
 import pytest
 
 from repro.service.store import (
+    AnalysisRecord,
     DatasetRecord,
     JobRecord,
     QueueFullError,
@@ -445,3 +448,90 @@ class TestSqliteSpecifics:
         got = stores.jobs.get(rec.id)
         assert got.run_log is not None
         assert got.run_log.meta["n"] == 123
+
+
+class TestLifecycleInvariants:
+    """Transitions the two backends must decide identically."""
+
+    def test_finalize_race_threaded_one_winner(self, stores):
+        analyses = stores.analyses
+        rec = analyses.create(AnalysisRecord(
+            id=analyses.next_analysis_id(), spec={"ks": [2]}, created_at=1.0,
+            cell_job_ids=["job-000001"],
+        ))
+        results = []
+        barrier = threading.Barrier(4)
+
+        def contender(i):
+            final = AnalysisRecord(
+                id=rec.id, spec=dict(rec.spec), state="done", created_at=1.0,
+                finished_at=2.0, cell_job_ids=list(rec.cell_job_ids),
+                report={"winner": i},
+            )
+            barrier.wait()
+            results.append(analyses.finalize(final))
+
+        threads = [threading.Thread(target=contender, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        winners = [r for r in results if r is not None]
+        assert len(winners) == 1
+        assert analyses.get(rec.id).report == winners[0].report
+        assert analyses.get(rec.id).version == rec.version + 1
+
+    def test_set_cancel_requested_twice_bumps_version_once(self, jobs):
+        rec = _record(jobs)
+        first = jobs.set_cancel_requested(rec.id)
+        second = jobs.set_cancel_requested(rec.id)
+        assert first.cancel_requested and second.cancel_requested
+        assert first.id == second.id == rec.id
+        assert first.version == second.version == rec.version + 1
+        assert jobs.get(rec.id).version == rec.version + 1
+
+    def test_transitions_of_unknown_id_return_none(self, jobs):
+        assert jobs.claim("job-424242", "w1", lease_expires_at=1e12) is None
+        assert jobs.heartbeat("job-424242", "w1", lease_expires_at=1e12) is None
+        ghost = JobRecord(id="job-424242", spec={}, state="done")
+        assert jobs.finish(ghost, "w1") is None
+
+
+class TestSqliteCounters:
+    def test_next_ids_continue_existing_counters(self, tmp_path):
+        state = tmp_path / "state"
+        stores = open_stores(str(state))
+        conn = sqlite3.connect(str(state / "service.db"))
+        conn.executemany(
+            "INSERT OR REPLACE INTO counters (name, value) VALUES (?, ?)",
+            [("job_id", 41), ("analysis_id", 6)],
+        )
+        conn.commit()
+        conn.close()
+        assert stores.jobs.next_job_id() == "job-000042"
+        assert stores.analyses.next_analysis_id() == "an-000007"
+
+
+class TestUpdateStress:
+    def test_concurrent_heartbeats_lose_no_write(self, jobs):
+        """Every write raises ``version`` by exactly one, so a lost
+        read-change-write would leave the final version short."""
+        rec = _record(jobs)
+        claimed = jobs.claim(rec.id, "w1", lease_expires_at=1e12)
+        threads_n, beats = 8, 25
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            def beat(i):
+                for j in range(beats):
+                    jobs.heartbeat(rec.id, "w1", 1e12 + i * beats + j)
+
+            threads = [threading.Thread(target=beat, args=(i,)) for i in range(threads_n)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert jobs.get(rec.id).version == claimed.version + threads_n * beats
