@@ -839,9 +839,9 @@ def _cmd_stream(args: argparse.Namespace) -> int:
                     JobSpec(dataset=ds["id"], warm_start=warm, **spec_kwargs)
                 )
                 job = manager.wait(job.id, timeout=args.timeout)
-                if job.state.value != "done":
+                if job.state != "done":
                     print(
-                        f"job {job.id} ended {job.state.value}: {job.error or ''}",
+                        f"job {job.id} ended {job.state}: {job.error or ''}",
                         file=sys.stderr,
                     )
                     return 1

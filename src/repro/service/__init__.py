@@ -51,7 +51,7 @@ Quickstart (in-process)::
     manager = JobManager(registry, workers=2)
     manager.start()
     job = manager.submit(JobSpec(algorithm="kcenter", dataset=ds.id, k=8))
-    manager.wait(job.id)
+    job = manager.wait(job.id)
     job.result["record"]["radius"]
 
 Over HTTP: ``repro serve --port 8000`` then
@@ -69,7 +69,6 @@ from repro.service.datasets import (
 )
 from repro.service.http import serve
 from repro.service.jobs import (
-    Job,
     JobManager,
     JobState,
     QueueFullError,
@@ -80,6 +79,7 @@ from repro.service.spec import JobSpec
 from repro.service.runner import JobCancelled, JobTimeout
 from repro.service.store import (
     AnalysisRecord,
+    JobRecord,
     ServiceStores,
     UnknownAnalysisError,
     open_stores,
@@ -89,9 +89,9 @@ __all__ = [
     "AnalysisRecord",
     "Dataset",
     "DatasetRegistry",
-    "Job",
     "JobCancelled",
     "JobManager",
+    "JobRecord",
     "JobSpec",
     "JobState",
     "JobTimeout",

@@ -43,6 +43,7 @@ import numpy as np
 
 from repro.obs.logging import get_logger
 from repro.obs.tracing import TraceContext, current_trace
+from repro.service.store import ANALYSIS_TERMINAL_STATES, TERMINAL_STATES
 
 #: error codes the transport treats as transient and retries;
 #: ``transport`` is the client-side code for connection-level failures
@@ -396,26 +397,8 @@ class ServiceClient:
         deadline.  Non-transient HTTP errors (404 for a job the server
         genuinely does not know, …) still raise immediately.
         """
-        deadline = time.monotonic() + timeout
-        delay = poll_s
-        last_state = "unknown"
-        while True:
-            try:
-                job = self.job(job_id)
-            except ServiceError as exc:
-                if not exc.retryable and exc.status != 0:
-                    raise
-                job = None  # server unreachable/overloaded; keep polling
-            if job is not None:
-                last_state = job["state"]
-                if last_state in ("done", "failed", "cancelled"):
-                    return job
-            if time.monotonic() > deadline:
-                raise TimeoutError(
-                    f"job {job_id} still {last_state} after {timeout}s"
-                )
-            time.sleep(min(delay, max(0.0, deadline - time.monotonic())))
-            delay = min(delay * 1.5, max_poll_s)
+        return self._poll(self.job, "job", job_id, TERMINAL_STATES,
+                          timeout, poll_s, max_poll_s)
 
     # -- analyses -----------------------------------------------------------
 
@@ -464,23 +447,33 @@ class ServiceClient:
         Same contract as :meth:`wait`: transient transport failures keep
         polling until the deadline, genuine errors raise immediately.
         """
+        return self._poll(self.analysis, "analysis", analysis_id,
+                          ANALYSIS_TERMINAL_STATES, timeout, poll_s, max_poll_s)
+
+    @staticmethod
+    def _poll(fetch, kind: str, record_id: str, terminal, timeout: float,
+              poll_s: float, max_poll_s: float) -> dict:
+        """Poll ``fetch(record_id)`` until its ``state`` is in
+        ``terminal``: the first poll at once, then sleep
+        ``min(delay, time left)`` with ``delay`` growing ×1.5 from
+        ``poll_s`` up to ``max_poll_s``."""
         deadline = time.monotonic() + timeout
         delay = poll_s
         last_state = "unknown"
         while True:
             try:
-                record = self.analysis(analysis_id)
+                record = fetch(record_id)
             except ServiceError as exc:
                 if not exc.retryable and exc.status != 0:
                     raise
                 record = None  # server unreachable/overloaded; keep polling
             if record is not None:
                 last_state = record["state"]
-                if last_state in ("done", "failed"):
+                if last_state in terminal:
                     return record
             if time.monotonic() > deadline:
                 raise TimeoutError(
-                    f"analysis {analysis_id} still {last_state} after {timeout}s"
+                    f"{kind} {record_id} still {last_state} after {timeout}s"
                 )
             time.sleep(min(delay, max(0.0, deadline - time.monotonic())))
             delay = min(delay * 1.5, max_poll_s)

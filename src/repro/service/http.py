@@ -124,6 +124,10 @@ class ClusteringServiceServer(ThreadingHTTPServer):
     """
 
     daemon_threads = True
+    #: listen backlog; socketserver's default of 5 drops connections in
+    #: a burst of more concurrent clients, and each dropped one stalls
+    #: about a second in the kernel's SYN retransmit
+    request_queue_size = 128
 
     def __init__(self, address, handler, manager: JobManager, faults=None,
                  sweeps: Optional[SweepManager] = None) -> None:
@@ -579,8 +583,8 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _delete_job(self, parts, query) -> None:
         job = self.server.manager.get(parts[1])
-        if job.state.terminal and not job.cancel_event.is_set():
-            raise ApiError(409, f"job {job.id} already {job.state.value}")
+        if job.terminal and not job.cancel_requested:
+            raise ApiError(409, f"job {job.id} already {job.state}")
         job = self.server.manager.cancel(job.id)
         self._send_json(200, job.describe(include_result=False))
 
@@ -589,23 +593,21 @@ class _Handler(BaseHTTPRequestHandler):
         if job.run_log is None:
             raise ApiError(
                 409,
-                f"job {job.id} has no trace (state: {job.state.value}); "
+                f"job {job.id} has no trace (state: {job.state}); "
                 "traces appear when a job completes",
             )
         fmt = query.get("format", "chrome")
         annotations = [
             {"name": "job",
-             "args": {"job_id": job.id,
-                      "trace_id": job.trace.trace_id if job.trace else None,
-                      "state": job.state.value}},
+             "args": {"job_id": job.id, "trace_id": job.trace_id,
+                      "state": job.state}},
         ]
         if job.cached:
             # the served log is the *producing* run's; mark the hit so
             # the trace says why its ids differ from this job's
             annotations.append(
                 {"name": "cache_hit",
-                 "args": {"job_id": job.id,
-                          "trace_id": job.trace.trace_id if job.trace else None}}
+                 "args": {"job_id": job.id, "trace_id": job.trace_id}}
             )
         try:
             content_type, body = trace_payload(job.run_log, fmt,

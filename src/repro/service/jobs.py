@@ -40,7 +40,10 @@ thin JSON shim over it):
 State lives behind the pluggable stores from
 :mod:`repro.service.store` — in-memory by default (exactly the old
 single-process behaviour), SQLite/file-backed when the service is
-started on a ``--state-dir``.  A manager can then run as one of three
+started on a ``--state-dir``.  A job is its
+:class:`~repro.service.store.JobRecord`: the manager returns snapshots
+of it and keeps per process only the cancel event of each job it holds
+a lease on.  A manager can run as one of three
 **roles**: ``all`` (accept + execute, the default), ``frontend``
 (accept and enqueue only, no worker threads), or ``worker`` (drain the
 shared queue, no HTTP) — N workers and M frontends sharing one state
@@ -57,15 +60,13 @@ import time
 import traceback
 import warnings
 from collections import deque
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.faults import FaultPlan
 from repro.obs.events import FaultEvent
 from repro.obs.logging import get_logger
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.record import RunLog
 from repro.obs.tracing import TraceContext, use_trace
 from repro.service.cache import ResultCache
 from repro.service.datasets import DatasetRegistry
@@ -73,6 +74,7 @@ from repro.service.runner import JobCancelled, JobTimeout, execute_job
 from repro.service.spec import JobSpec
 from repro.service.store import (
     JobRecord,
+    JobState,
     QueueFullError,
     ServiceStores,
     UnknownJobError,
@@ -81,7 +83,6 @@ from repro.service.store import (
 )
 
 __all__ = [
-    "Job",
     "JobManager",
     "JobState",
     "QueueFullError",
@@ -144,88 +145,6 @@ class RetryPolicy:
             "factor": self.factor,
             "max_backoff_s": self.max_backoff_s,
         }
-
-
-class JobState(str, Enum):
-    QUEUED = "queued"
-    RUNNING = "running"
-    DONE = "done"
-    FAILED = "failed"
-    CANCELLED = "cancelled"
-
-    @property
-    def terminal(self) -> bool:
-        return self in (JobState.DONE, JobState.FAILED, JobState.CANCELLED)
-
-
-@dataclass
-class Job:
-    """One submitted unit of work — the live, per-process view.
-
-    The durable twin is :class:`~repro.service.store.JobRecord`; a Job
-    adds the process-local machinery (cancel/done events, the parsed
-    spec and trace context) and tracks which store ``version`` it
-    mirrors, so reads refresh it from the store only when the record
-    actually moved.
-    """
-
-    id: str
-    spec: JobSpec
-    state: JobState = JobState.QUEUED
-    created_at: float = field(default_factory=time.time)
-    #: when the job (re-)entered the queue — startup recovery uses it
-    #: to spot records stranded outside the work queue
-    queued_at: float = 0.0
-    started_at: Optional[float] = None
-    finished_at: Optional[float] = None
-    #: JSON-safe result payload (set when state == DONE)
-    result: Optional[dict] = None
-    #: error message / traceback (set when state == FAILED)
-    error: Optional[str] = None
-    #: True when the result came from the cache, not a solver run
-    cached: bool = False
-    #: the recorded run log (also set for cache hits: the producing run's)
-    run_log: Optional[RunLog] = None
-    #: the request's distributed-trace context (assigned at submit; the
-    #: HTTP layer passes the incoming request's, so one trace id links
-    #: the client call, the job, and the solver run)
-    trace: Optional[TraceContext] = None
-    #: 0-based index of the current/last execution attempt
-    attempt: int = 0
-    #: one record per recovered attempt (crash retries and orphan
-    #: requeues alike): ``{"attempt", "error", "failed_at", "backoff_s"}``
-    attempts: List[dict] = field(default_factory=list)
-    #: store version this view reflects (see JobRecord.version)
-    version: int = 0
-    cancel_event: threading.Event = field(default_factory=threading.Event)
-    done_event: threading.Event = field(default_factory=threading.Event)
-
-    def to_record(self) -> JobRecord:
-        """The persistable form of this handle."""
-        return JobRecord(
-            id=self.id,
-            spec=self.spec.to_dict(),
-            state=self.state.value,
-            created_at=self.created_at,
-            queued_at=self.queued_at or self.created_at,
-            started_at=self.started_at,
-            finished_at=self.finished_at,
-            result=self.result,
-            error=self.error,
-            cached=self.cached,
-            attempt=self.attempt,
-            attempts=[dict(a) for a in self.attempts],
-            trace_id=self.trace.trace_id if self.trace is not None else None,
-            traceparent=self.trace.to_traceparent() if self.trace is not None else None,
-            cancel_requested=self.cancel_event.is_set(),
-            run_log=self.run_log,
-            version=self.version,
-        )
-
-    def describe(self, include_result: bool = True) -> dict:
-        """JSON-safe status record for the API (the shape of
-        :meth:`JobRecord.describe`)."""
-        return self.to_record().describe(include_result)
 
 
 def default_worker_id() -> str:
@@ -378,11 +297,15 @@ class JobManager:
             labels=("algorithm",),
         )
 
-        #: live per-process handles (the store holds the durable truth)
-        self._jobs: Dict[str, Job] = {}
-        #: jobs this manager currently holds a lease on
-        self._leases: Dict[str, Job] = {}
+        #: the cancel event of each job this manager holds a lease on
+        #: (set by the heartbeat or an in-process cancel); a job's state
+        #: lives only in its store record
+        self._leases: Dict[str, threading.Event] = {}
         self._lock = threading.Lock()
+        #: notified after each terminal write by this process, so
+        #: :meth:`wait` wakes at once; ``_terminal_writes`` counts them
+        self._terminal = threading.Condition()
+        self._terminal_writes = 0
         self._threads: List[threading.Thread] = []
         self._aux_threads: List[threading.Thread] = []
         self._stuck_threads: List[threading.Thread] = []
@@ -503,74 +426,11 @@ class JobManager:
     def resume(self) -> None:
         self._resume.set()
 
-    # -- record <-> handle plumbing -----------------------------------------
-
-    def _job_from_record(self, rec: JobRecord) -> Job:
-        job = Job(
-            id=rec.id,
-            spec=JobSpec.from_dict(rec.spec),
-            state=JobState(rec.state),
-            created_at=rec.created_at,
-            queued_at=rec.queued_at,
-            started_at=rec.started_at,
-            finished_at=rec.finished_at,
-            result=rec.result,
-            error=rec.error,
-            cached=rec.cached,
-            run_log=rec.run_log,
-            trace=TraceContext.from_traceparent(rec.traceparent),
-            attempt=rec.attempt,
-            attempts=[dict(a) for a in rec.attempts],
-            version=rec.version,
-        )
-        if rec.cancel_requested:
-            job.cancel_event.set()
-        if job.state.terminal:
-            job.done_event.set()
-        return job
-
-    def _apply_record_locked(self, job: Job, rec: JobRecord) -> None:
-        """Refresh a live handle from a store snapshot (caller holds
-        ``_lock``).  Versions make this monotone: a stale snapshot
-        (raced by a concurrent writer) is simply ignored."""
-        if rec.version <= job.version:
-            if rec.cancel_requested:
-                job.cancel_event.set()
-            return
-        job.state = JobState(rec.state)
-        job.created_at = rec.created_at
-        job.queued_at = rec.queued_at
-        job.started_at = rec.started_at
-        job.finished_at = rec.finished_at
-        job.result = rec.result
-        job.error = rec.error
-        job.cached = rec.cached
-        job.attempt = rec.attempt
-        job.attempts = [dict(a) for a in rec.attempts]
-        if rec.run_log is not None:
-            job.run_log = rec.run_log
-        job.version = rec.version
-        if rec.cancel_requested:
-            job.cancel_event.set()
-        if job.state.terminal:
-            job.done_event.set()
-
-    def _adopt_record(self, rec: JobRecord) -> Job:
-        """Get-or-create the live handle for a store record."""
-        with self._lock:
-            job = self._jobs.get(rec.id)
-            if job is None:
-                job = self._job_from_record(rec)
-                self._jobs[rec.id] = job
-            else:
-                self._apply_record_locked(job, rec)
-            return job
-
     # -- submission ---------------------------------------------------------
 
-    def submit(self, spec: JobSpec, trace: Optional[TraceContext] = None) -> Job:
+    def submit(self, spec: JobSpec, trace: Optional[TraceContext] = None) -> JobRecord:
         """Admit a job: cache hit → instantly ``done``; else persist and
-        enqueue.
+        enqueue.  Returns the stored record.
 
         ``trace`` is the submitting request's context (the HTTP layer
         passes the parsed/minted ``traceparent``); the job becomes a
@@ -595,13 +455,15 @@ class JobManager:
             spec.timeout_s = float(self.default_timeout_s)
         base = trace if trace is not None else TraceContext.generate()
 
+        job_trace = base.child("job")
         now = time.time()
-        job = Job(
+        job = JobRecord(
             id=self._store.next_job_id(),
-            spec=spec,
-            trace=base.child("job"),
+            spec=spec.to_dict(),
             created_at=now,
             queued_at=now,
+            trace_id=job_trace.trace_id,
+            traceparent=job_trace.to_traceparent(),
         )
         with self._lock:
             self._submitted += 1
@@ -611,34 +473,25 @@ class JobManager:
 
         hit = self.cache.get(spec.cache_key(dataset.fingerprint))
         if hit is not None:
-            payload, run_log = hit
-            job.result, job.run_log = payload, run_log
+            job.result, job.run_log = hit
             job.cached = True
-            job.state = JobState.DONE
+            job.state = JobState.DONE.value
             job.finished_at = time.time()
-            created = self._store.create(job.to_record())
-            with self._lock:
-                job.version = created.version
-                self._jobs[job.id] = job
-                self._prune_history_locked()
-            job.done_event.set()
+            job = self._store.create(job)
+            self._ended()
             _log.info(
                 "job served from cache",
-                extra={"job_id": job.id, "trace_id": job.trace.trace_id,
+                extra={"job_id": job.id, "trace_id": job.trace_id,
                        "algorithm": spec.algorithm},
             )
             return job
 
-        created = self._store.create(job.to_record())
-        with self._lock:
-            job.version = created.version
-            self._jobs[job.id] = job
+        job = self._store.create(job)
         try:
             self._wq.push(job.id)
         except QueueFullError:
             with self._lock:
                 self._rejected += 1
-                self._jobs.pop(job.id, None)
             self._store.delete(job.id)
             _log.warning(
                 "job rejected: queue full",
@@ -648,37 +501,20 @@ class JobManager:
             raise
         _log.info(
             "job queued",
-            extra={"job_id": job.id, "trace_id": job.trace.trace_id,
+            extra={"job_id": job.id, "trace_id": job.trace_id,
                    "algorithm": spec.algorithm, "dataset": spec.dataset},
         )
         return job
 
     # -- queries ------------------------------------------------------------
 
-    def get(self, job_id: str) -> Job:
-        """The live handle for ``job_id``, refreshed from the store.
+    def get(self, job_id: str) -> JobRecord:
+        """The job's current record (any process may have written it)."""
+        return self._store.get(job_id)
 
-        Jobs submitted by *another* process on a shared store get a
-        local handle built from their record on first access.
-        """
-        with self._lock:
-            job = self._jobs.get(job_id)
-        if job is not None and job.state.terminal:
-            return job  # terminal records never move again
-        try:
-            rec = self._store.get(job_id)
-        except UnknownJobError:
-            if job is not None:
-                with self._lock:
-                    self._jobs.pop(job_id, None)
-            raise
-        return self._adopt_record(rec)
-
-    def list_jobs(self, state: Optional[JobState] = None) -> List[Job]:
-        records, _ = self._store.list(
-            state=state.value if state is not None else None
-        )
-        return [self._adopt_record(rec) for rec in records]
+    def list_jobs(self, state: Optional[JobState] = None) -> List[JobRecord]:
+        """Every job's record, oldest first."""
+        return self.list_records(state)[0]
 
     def list_records(
         self,
@@ -694,51 +530,45 @@ class JobManager:
             cursor=cursor,
         )
 
-    def wait(self, job_id: str, timeout: Optional[float] = None) -> Job:
-        """Block until the job reaches a terminal state.
+    def wait(self, job_id: str, timeout: Optional[float] = None) -> JobRecord:
+        """Block until the job reaches a terminal state; returns its record.
 
-        Works across processes: when another worker on the shared store
-        finishes the job, the local poll observes the terminal record.
+        A terminal write by this process wakes the wait at once; one by
+        another process on the shared store is seen at the next re-read,
+        at most 50 ms later.
         """
         deadline = None if timeout is None else time.monotonic() + float(timeout)
-        job = self.get(job_id)
         while True:
-            if job.state.terminal:
+            with self._terminal:
+                writes = self._terminal_writes
+            job = self._store.get(job_id)
+            if job.terminal:
                 return job
-            if deadline is not None and time.monotonic() >= deadline:
-                raise TimeoutError(
-                    f"job {job_id} still {job.state.value} after {timeout}s"
+            left = 0.05 if deadline is None else deadline - time.monotonic()
+            if left <= 0:
+                raise TimeoutError(f"job {job_id} still {job.state} after {timeout}s")
+            with self._terminal:
+                self._terminal.wait_for(
+                    lambda: self._terminal_writes != writes, min(0.05, left)
                 )
-            job.done_event.wait(0.05)
-            job = self.get(job_id)
 
-    def cancel(self, job_id: str) -> Job:
-        """Request cancellation; returns the job.
+    def cancel(self, job_id: str) -> JobRecord:
+        """Request cancellation; returns the job's record.
 
-        Queued jobs flip to ``cancelled`` right away (claims check the
-        flag atomically, so a worker can never start one); running jobs
-        are unwound at their next round barrier — the owning worker
-        learns about the request via its local event (same process) or
-        its next heartbeat (remote worker).  Terminal jobs are returned
-        unchanged.
+        A queued job ends ``cancelled`` in the same store write (claims
+        refuse a cancel-requested job, so a worker can never start it);
+        a running job is unwound at its next round barrier — the owning
+        worker learns about the request via its lease's cancel event
+        (same process) or its next heartbeat (another process).
+        Terminal jobs are returned unchanged.
         """
-        job = self.get(job_id)
-        if job.state.terminal:
-            return job
-        rec = self._store.set_cancel_requested(job_id)
-        job.cancel_event.set()
-        if rec.state == JobState.QUEUED.value:
-            # with cancel_requested set no claim can succeed, so this
-            # write is race-free: the job goes terminal here
-            rec.state = JobState.CANCELLED.value
-            rec.finished_at = time.time()
-            rec = self._store.save(rec)
-            with self._lock:
-                self._apply_record_locked(job, rec)
-                self._prune_history_locked()
-        else:
-            with self._lock:
-                self._apply_record_locked(job, rec)
+        job = self._store.set_cancel_requested(job_id)
+        with self._lock:
+            event = self._leases.get(job_id)
+        if event is not None:
+            event.set()
+        if job.terminal:
+            self._ended()
         return job
 
     def stats(self) -> dict:
@@ -757,6 +587,7 @@ class JobManager:
         by_state: Dict[str, int] = {s.value: 0 for s in JobState}
         by_state.update(self._store.count_by_state())
         queue_depth = self._wq.depth()
+        cache = self.cache.stats()
         remote = self.remote_status()
         with self._lock:
             self._stuck_threads = [t for t in self._stuck_threads if t.is_alive()]
@@ -777,7 +608,7 @@ class JobManager:
                 "jobs_rejected_total": self._rejected,
                 "jobs_by_state": by_state,
                 "jobs_by_algorithm": dict(self._by_algorithm),
-                "cache": self.cache.stats(),
+                "cache": cache,
                 "stuck_workers": [t.name for t in self._stuck_threads],
                 "retry": {
                     "policy": self.retry_policy.to_dict(),
@@ -904,57 +735,46 @@ class JobManager:
     def _execute(self, job_id: str) -> None:
         """Claim a popped id and run it; losing the claim is normal
         (another worker won the race, or the job was cancelled)."""
-        rec = self._store.claim(job_id, self.worker_id, time.time() + self.lease_s)
-        if rec is None:
-            self._finalize_unclaimed(job_id)
+        job = self._store.claim(job_id, self.worker_id, time.time() + self.lease_s)
+        if job is None:
+            # a queued record carrying a cancel request (written by an
+            # older release, which cancelled in two writes) ends here;
+            # claims refuse it, so it would otherwise sit queued forever
+            if self._store.end_queued(job_id) is not None:
+                self._ended()
             return
-        job = self._adopt_record(rec)
+        cancel = threading.Event()
         with self._lock:
-            self._leases[job_id] = job
+            self._leases[job_id] = cancel
         try:
-            self._run_job(job)
+            self._run_job(job, cancel)
         finally:
             with self._lock:
                 self._leases.pop(job_id, None)
 
-    def _finalize_unclaimed(self, job_id: str) -> None:
-        """A popped id we could not claim: if it is a queued record with
-        a pending cancel request, take it terminal here (claims refuse
-        it, so without this it would sit queued forever)."""
-        try:
-            rec = self._store.get(job_id)
-        except UnknownJobError:
-            return
-        if rec.state == JobState.QUEUED.value and rec.cancel_requested:
-            rec.state = JobState.CANCELLED.value
-            rec.finished_at = time.time()
-            rec = self._store.save(rec)
-            job = self._adopt_record(rec)
-            job.done_event.set()
+    def _ended(self) -> None:
+        """After a terminal write: evict the oldest terminal jobs beyond
+        ``max_history`` (the store prunes in submission order; queued
+        and running jobs are never touched) and wake :meth:`wait`."""
+        self._store.prune_terminal(self.max_history)
+        with self._terminal:
+            self._terminal_writes += 1
+            self._terminal.notify_all()
 
-    def _prune_history_locked(self) -> None:
-        """Evict the oldest terminal jobs beyond ``max_history``.
-
-        Caller holds ``_lock``.  The store prunes in submission order;
-        queued and running jobs are never touched.
-        """
-        for jid in self._store.prune_terminal(self.max_history):
-            self._jobs.pop(jid, None)
-
-    def _run_job(self, job: Job) -> None:
-        spec = job.spec
+    def _run_job(self, job: JobRecord, cancel: threading.Event) -> None:
+        spec = JobSpec.from_dict(job.spec)
+        trace = TraceContext.from_traceparent(job.traceparent)
         _log.info(
             "job running",
-            extra={"job_id": job.id,
-                   "trace_id": job.trace.trace_id if job.trace else None,
+            extra={"job_id": job.id, "trace_id": job.trace_id,
                    "algorithm": spec.algorithm, "attempt": job.attempt,
                    "worker_id": self.worker_id},
         )
         try:
             dataset = self.datasets.get(spec.dataset)
-            with use_trace(job.trace):
+            with use_trace(trace):
                 warm = (
-                    self._resolve_warm(spec, dataset, cancel_event=job.cancel_event)
+                    self._resolve_warm(spec, dataset, cancel_event=cancel)
                     if spec.warm_start
                     else None
                 )
@@ -963,11 +783,11 @@ class JobManager:
                     dataset,
                     backend=self.backend,
                     remote_workers=self.remote_workers,
-                    cancel_event=job.cancel_event,
+                    cancel_event=cancel,
                     job_id=job.id,
                     faults=self.faults,
                     metrics=self.metrics,
-                    trace=job.trace,
+                    trace=trace,
                     warm=warm,
                 )
         except JobCancelled:
@@ -981,7 +801,7 @@ class JobManager:
             # decisions) are retryable: re-enqueue with backoff while
             # the budget lasts, terminal FAILED only after exhaustion
             error = traceback.format_exc()
-            if self._schedule_retry(job, error):
+            if self._schedule_retry(job, spec, cancel, error):
                 return
             state, produced = JobState.FAILED, None
         else:
@@ -989,7 +809,7 @@ class JobManager:
             self._note_remote(payload)
             self._note_warm(payload)
             self.cache.put(spec.cache_key(dataset.fingerprint), payload, run_log)
-        self._commit_terminal(job, state, error, produced)
+        self._commit_terminal(job, spec, state, error, produced)
 
     def _resolve_warm(
         self,
@@ -1114,7 +934,8 @@ class JobManager:
 
     def _commit_terminal(
         self,
-        job: Job,
+        job: JobRecord,
+        spec: JobSpec,
         state: JobState,
         error: Optional[str],
         produced: Optional[tuple],
@@ -1125,44 +946,32 @@ class JobManager:
         re-enqueued the job; the result is discarded — harmless, because
         the re-run is bit-identical by the determinism guarantee.
         """
-        rec = job.to_record()
-        rec.state = state.value
-        rec.error = error
-        rec.finished_at = time.time()
+        job.state = state.value
+        job.error = error
+        job.finished_at = time.time()
         if produced is not None:
-            rec.result, rec.run_log = produced
-        finished = self._store.finish(rec, self.worker_id)
-        if finished is None:
+            job.result, job.run_log = produced
+        if self._store.finish(job, self.worker_id) is None:
             _log.warning(
                 "job finish lost its lease (declared orphaned mid-run); "
                 "result discarded — the requeued run is bit-identical",
                 extra={"job_id": job.id, "worker_id": self.worker_id},
             )
-            try:
-                current = self._store.get(job.id)
-            except UnknownJobError:
-                return
-            with self._lock:
-                self._apply_record_locked(job, current)
             return
-        with self._lock:
-            self._apply_record_locked(job, finished)
-            if produced is not None and job.attempt > 0:
+        if produced is not None and job.attempt > 0:
+            with self._lock:
                 self._jobs_recovered += 1
-            self._prune_history_locked()
-        if job.started_at is not None and job.finished_at is not None:
-            self._job_latency.labels(job.spec.algorithm).observe(
-                job.finished_at - job.started_at
-            )
+        self._ended()
+        self._job_latency.labels(spec.algorithm).observe(
+            job.finished_at - job.started_at
+        )
         _log.info(
             f"job {state.value}",
-            extra={"job_id": job.id,
-                   "trace_id": job.trace.trace_id if job.trace else None,
-                   "algorithm": job.spec.algorithm, "attempt": job.attempt,
+            extra={"job_id": job.id, "trace_id": job.trace_id,
+                   "algorithm": spec.algorithm, "attempt": job.attempt,
                    **({"reason": error.strip().splitlines()[-1]}
                       if error else {})},
         )
-        job.done_event.set()
 
     # -- heartbeat + orphan recovery ----------------------------------------
 
@@ -1173,14 +982,14 @@ class JobManager:
         while not self._stop.wait(interval):
             with self._lock:
                 held = list(self._leases.items())
-            for job_id, job in held:
+            for job_id, cancel in held:
                 rec = self._store.heartbeat(
                     job_id, self.worker_id, time.time() + self.lease_s
                 )
-                if rec is None:
-                    continue  # lease lost (sweeper took it) — CAS at finish decides
-                if rec.cancel_requested and not job.cancel_event.is_set():
-                    job.cancel_event.set()
+                # a lost lease (the sweeper took it) is decided by the
+                # CAS at finish
+                if rec is not None and rec.cancel_requested:
+                    cancel.set()
 
     def _sweep_loop(self) -> None:
         interval = max(0.5, self.lease_s / 3.0)
@@ -1233,14 +1042,13 @@ class JobManager:
                 self.fault_events.extend(events)
                 self._last_recovery_at = now
                 self._last_recovery_mono = time.monotonic()
-                job = self._jobs.get(rec.id)
-                if job is not None:
-                    self._apply_record_locked(job, rec)
             _log.warning(
                 "orphaned job recovered",
                 extra={"job_id": rec.id, "state": rec.state,
                        "attempt": rec.attempt, "detail": detail},
             )
+        if any(rec.terminal for rec in recovered):
+            self._ended()
         # a submission pushes right after persisting, so outside startup
         # only records queued for a while are considered stranded
         stranded = ensure_queued_jobs_enqueued(
@@ -1256,21 +1064,21 @@ class JobManager:
 
     # -- retry --------------------------------------------------------------
 
-    def _retry_budget(self, job: Job) -> int:
-        """Effective retry budget: the spec's override, else the policy's."""
-        if job.spec.max_retries is not None:
-            return job.spec.max_retries
-        return self.retry_policy.max_retries
-
-    def _schedule_retry(self, job: Job, error: str) -> bool:
+    def _schedule_retry(
+        self, job: JobRecord, spec: JobSpec, cancel: threading.Event, error: str
+    ) -> bool:
         """Re-enqueue a crashed job after backoff if its budget allows.
 
-        Returns True when a retry was scheduled (the job goes back to
-        ``queued``; the caller must NOT mark it terminal).
+        Returns True when the retry was written (the job goes back to
+        ``queued``, or ends ``cancelled`` when a cancel request landed
+        since the claim; the caller must NOT mark it terminal).
         """
-        if job.cancel_event.is_set() or self._stop.is_set():
+        if cancel.is_set() or self._stop.is_set():
             return False
-        budget = self._retry_budget(job)
+        budget = (
+            spec.max_retries if spec.max_retries is not None
+            else self.retry_policy.max_retries
+        )
         if job.attempt >= budget:
             if budget > 0:
                 with self._lock:
@@ -1279,8 +1087,7 @@ class JobManager:
         delay = self.retry_policy.delay(job.attempt + 1, key=job.id)
         summary = error.strip().splitlines()[-1] if error.strip() else "unknown error"
         now = time.time()
-        rec = job.to_record()
-        rec.attempts.append(
+        job.attempts.append(
             {
                 "attempt": job.attempt,
                 "error": summary,
@@ -1288,56 +1095,49 @@ class JobManager:
                 "backoff_s": round(delay, 4),
             }
         )
-        rec.attempt = job.attempt + 1
-        rec.state = JobState.QUEUED.value
-        rec.started_at = None
-        rec.queued_at = now
-        requeued = self._store.finish(rec, self.worker_id)
+        job.attempt += 1
+        job.state = JobState.QUEUED.value
+        job.started_at = None
+        job.queued_at = now
+        requeued = self._store.finish(job, self.worker_id)
         if requeued is None:
             # lease lost mid-crash: the sweeper owns this job's recovery
             return True
+        if requeued.terminal:
+            self._ended()
+            return True
         with self._lock:
-            self._apply_record_locked(job, requeued)
             self._retries += 1
             self._last_retry_at = now
             self._last_retry_mono = time.monotonic()
-            timer = threading.Timer(delay, self._requeue, args=(job,))
+            timer = threading.Timer(delay, self._requeue, args=(job.id, summary))
             timer.daemon = True
             self._retry_timers.append(timer)
         _log.warning(
             "job crashed; retry scheduled",
-            extra={"job_id": job.id,
-                   "trace_id": job.trace.trace_id if job.trace else None,
+            extra={"job_id": job.id, "trace_id": job.trace_id,
                    "attempt": job.attempt, "backoff_s": round(delay, 4),
                    "reason": summary},
         )
         timer.start()
         return True
 
-    def _requeue(self, job: Job) -> None:
+    def _requeue(self, job_id: str, last_error: str) -> None:
         """Timer callback: push a retried job's id back on the queue."""
         with self._lock:
             self._retry_timers = [
                 t for t in self._retry_timers if t.is_alive()
             ]
         try:
-            rec = self._store.get(job.id)
+            if self._store.get(job_id).state != JobState.QUEUED.value:
+                return  # cancelled (or recovered elsewhere) while backing off
         except UnknownJobError:
             return
-        if rec.state != JobState.QUEUED.value or rec.cancel_requested:
-            return  # cancelled (or recovered elsewhere) while backing off
         try:
-            self._wq.push(job.id)
+            self._wq.push(job_id)
         except QueueFullError:
-            last = job.attempts[-1]["error"] if job.attempts else "unknown error"
-            rec.state = JobState.FAILED.value
-            rec.error = f"retry abandoned (queue full) after: {last}"
-            rec.finished_at = time.time()
-            try:
-                rec = self._store.save(rec)
-            except UnknownJobError:  # pragma: no cover - pruned mid-flight
-                return
-            with self._lock:
-                self._apply_record_locked(job, rec)
-                self._prune_history_locked()
-            job.done_event.set()
+            abandoned = self._store.end_queued(
+                job_id, f"retry abandoned (queue full) after: {last_error}"
+            )
+            if abandoned is not None:
+                self._ended()

@@ -47,6 +47,7 @@ import threading
 import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from enum import Enum
 from typing import Any, Callable, Dict, Iterable, List, Optional, Protocol, Tuple, runtime_checkable
 
 import numpy as np
@@ -64,8 +65,22 @@ class UnknownAnalysisError(KeyError):
     """No analysis with the requested id."""
 
 
-#: job lifecycle states, as stored (mirrors repro.service.jobs.JobState)
-TERMINAL_STATES = ("done", "failed", "cancelled")
+class JobState(str, Enum):
+    """A job's lifecycle state; records store its string value."""
+
+    QUEUED = "queued"
+    RUNNING = "running"
+    DONE = "done"
+    FAILED = "failed"
+    CANCELLED = "cancelled"
+
+    @property
+    def terminal(self) -> bool:
+        return self in (JobState.DONE, JobState.FAILED, JobState.CANCELLED)
+
+
+#: the job states no transition leaves, as stored
+TERMINAL_STATES = tuple(s.value for s in JobState if s.terminal)
 
 #: analysis lifecycle states — an analysis is "running" from the moment
 #: its record exists (every cell job is submitted before the record is
@@ -83,12 +98,12 @@ ANALYSIS_TERMINAL_STATES = ("done", "failed")
 
 @dataclass
 class JobRecord:
-    """The persistable form of one job — plain data, no threading state.
+    """One job — plain data, no threading state.
 
-    This is what travels through a :class:`JobStore`; the live
-    :class:`~repro.service.jobs.Job` handle (with its cancel/done
-    events) is a per-process view over it.  ``version`` increases on
-    every store write, so two snapshots of the same job are ordered.
+    A job is nothing but its record: :class:`~repro.service.jobs.JobManager`
+    returns snapshots of it, and any process can claim and run the job
+    from it.  ``version`` increases on every store write, so two
+    snapshots of the same job are ordered.
     """
 
     id: str
@@ -137,8 +152,8 @@ class JobRecord:
         return out
 
     def describe(self, include_result: bool = True) -> dict:
-        """JSON-safe status record for the API (one shape for live
-        handles and store records — ``Job.describe`` delegates here)."""
+        """JSON-safe status record for the API (one shape for
+        ``GET /v1/jobs/<id>`` and the list entries)."""
         out = {
             "id": self.id,
             "state": self.state,
@@ -284,6 +299,10 @@ class JobStore(Protocol):
     def finish(self, record: JobRecord, worker: str) -> Optional[JobRecord]: ...
 
     def set_cancel_requested(self, job_id: str) -> JobRecord: ...
+
+    def end_queued(
+        self, job_id: str, error: Optional[str] = None
+    ) -> Optional[JobRecord]: ...
 
     def recover_orphans(
         self, now: float, max_requeues: int = 5
@@ -484,22 +503,64 @@ class JobLifecycle(_Lifecycle):
         return self.update(job_id, change)
 
     def finish(self, record: JobRecord, worker: str) -> Optional[JobRecord]:
+        """Store the lease holder's terminal (or requeued) ``record``.
+
+        A cancel request stored since the claim is kept, and a requeue
+        of such a job ends it ``cancelled`` instead, as
+        :meth:`recover_orphans` does.
+        """
         def change(current: JobRecord) -> Optional[JobRecord]:
             if current.state != "running" or current.worker != worker:
                 return None
-            return replace(record, worker=None, lease_expires_at=None)
+            rec = replace(record, worker=None, lease_expires_at=None)
+            if current.cancel_requested:
+                rec.cancel_requested = True
+                if rec.state == "queued":
+                    rec.state = "cancelled"
+                    rec.attempt = current.attempt
+                    rec.started_at = current.started_at
+                    rec.finished_at = time.time()
+            return rec
 
         return self.update(record.id, change)
 
     def set_cancel_requested(self, job_id: str) -> JobRecord:
+        """Flag a live job for cancellation; a queued one ends
+        ``cancelled`` in the same write.  A terminal or already-flagged
+        job is returned unchanged."""
         def change(rec: JobRecord) -> Optional[JobRecord]:
-            if rec.cancel_requested:
-                return None  # already requested: no write, no version bump
+            if rec.cancel_requested or rec.terminal:
+                return None  # nothing to request: no write, no version bump
             rec.cancel_requested = True
+            if rec.state == "queued":
+                rec.state = "cancelled"
+                rec.finished_at = time.time()
             return rec
 
         updated = self.update(job_id, change)
         return updated if updated is not None else self.get(job_id)
+
+    def end_queued(
+        self, job_id: str, error: Optional[str] = None
+    ) -> Optional[JobRecord]:
+        """End a job that is still queued: ``cancelled`` when a cancel
+        request is pending, else ``failed`` with ``error``.  Returns
+        ``None`` with nothing written for a job that is not queued, or
+        that has no request pending when ``error`` is ``None``."""
+        def change(rec: JobRecord) -> Optional[JobRecord]:
+            if rec.state != "queued":
+                return None
+            if rec.cancel_requested:
+                rec.state = "cancelled"
+            elif error is None:
+                return None
+            else:
+                rec.state = "failed"
+                rec.error = error
+            rec.finished_at = time.time()
+            return rec
+
+        return self.update(job_id, change)
 
     def recover_orphans(self, now: float, max_requeues: int = 5) -> List[JobRecord]:
         def expired(rec: JobRecord) -> bool:
@@ -832,14 +893,3 @@ def ensure_queued_jobs_enqueued(
             break
         repushed.append(rec.id)
     return repushed
-
-
-def iterate_jobs(jobs: JobStore, state: Optional[str] = None,
-                 page_size: int = 256) -> Iterable[JobRecord]:
-    """Cursor-following iterator over every record (oldest first)."""
-    cursor: Optional[str] = None
-    while True:
-        page, cursor = jobs.list(state=state, limit=page_size, cursor=cursor)
-        yield from page
-        if cursor is None:
-            return

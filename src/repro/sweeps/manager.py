@@ -41,7 +41,6 @@ from repro.service.store import (
     AnalysisRecord,
     AnalysisStore,
     QueueFullError,
-    UnknownAnalysisError,
     UnknownJobError,
 )
 from repro.sweeps.scoring import build_report, reference_for
@@ -258,7 +257,7 @@ class SweepManager:
                 "result": None,
                 "error": f"cell job {job_id} no longer in the job table",
             }
-        if rec.state not in ("done", "failed", "cancelled"):
+        if not rec.terminal:
             return None
         if rec.state == "done":
             return {"state": "done", "result": rec.result, "error": None}

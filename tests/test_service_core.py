@@ -2,20 +2,25 @@
 
 from __future__ import annotations
 
+import sys
+import threading
 import time
 
 import numpy as np
 import pytest
 
 from repro.api import solve_kcenter
+from repro.obs.record import RunLog
 from repro.service import (
     DatasetRegistry,
     JobManager,
+    JobRecord,
     JobSpec,
     JobState,
     QueueFullError,
     ResultCache,
     UnknownJobError,
+    open_stores,
 )
 from repro.service.datasets import UnknownDatasetError
 from repro.workloads.registry import (
@@ -220,7 +225,7 @@ class TestJobManager:
                         seed=3, machines=4)
             )
             job = manager.wait(job.id, timeout=60)
-            assert job.state is JobState.DONE
+            assert job.state == JobState.DONE
             direct = solve_kcenter(points, k=6, eps=0.2, seed=3, machines=4)
             assert job.result["record"]["radius"] == direct.radius
             assert job.result["record"]["centers"] == [int(c) for c in direct.centers]
@@ -234,7 +239,7 @@ class TestJobManager:
             spec = dict(algorithm="kcenter", dataset=ds_id, k=4, eps=0.2)
             first = manager.wait(manager.submit(JobSpec(**spec)).id, timeout=60)
             second = manager.submit(JobSpec(**spec))
-            assert second.cached and second.state is JobState.DONE
+            assert second.cached and second.state == JobState.DONE
             assert second.result == first.result
             assert manager.cache.stats()["hits_total"] == 1
         finally:
@@ -256,7 +261,7 @@ class TestJobManager:
         manager.start()
         try:
             for job in accepted:
-                assert manager.wait(job.id, timeout=60).state is JobState.DONE
+                assert manager.wait(job.id, timeout=60).state == JobState.DONE
         finally:
             manager.stop()
 
@@ -265,12 +270,12 @@ class TestJobManager:
         ds_id = registry.list()[0]["id"]
         job = manager.submit(JobSpec(algorithm="kcenter", dataset=ds_id, k=3))
         cancelled = manager.cancel(job.id)
-        assert cancelled.state is JobState.CANCELLED
+        assert cancelled.state == JobState.CANCELLED
         manager.start()
         try:
             # the worker must skip it, not run it
             time.sleep(0.3)
-            assert manager.get(job.id).state is JobState.CANCELLED
+            assert manager.get(job.id).state == JobState.CANCELLED
             assert manager.get(job.id).result is None
         finally:
             manager.stop()
@@ -284,7 +289,7 @@ class TestJobManager:
                         timeout_s=1e-9)
             )
             job = manager.wait(job.id, timeout=60)
-            assert job.state is JobState.FAILED
+            assert job.state == JobState.FAILED
             assert "timed out" in job.error
         finally:
             manager.stop()
@@ -302,7 +307,7 @@ class TestJobManager:
                         customers=[0, 1], suppliers=[10**6])
             )
             job = manager.wait(job.id, timeout=60)
-            assert job.state is JobState.FAILED and job.error
+            assert job.state == JobState.FAILED and job.error
         finally:
             manager.stop()
 
@@ -334,12 +339,12 @@ class TestJobManager:
             ds_id = registry.list()[0]["id"]
             job = manager.submit(JobSpec(algorithm="kcenter", dataset=ds_id, k=3))
             cancelled = manager.cancel(job.id)
-            assert cancelled.state is JobState.CANCELLED
+            assert cancelled.state == JobState.CANCELLED
             finished_at = cancelled.finished_at
             manager.resume()
             time.sleep(0.3)
             after = manager.get(job.id)
-            assert after.state is JobState.CANCELLED
+            assert after.state == JobState.CANCELLED
             assert after.started_at is None and after.result is None
             assert after.finished_at == finished_at  # not overwritten
         finally:
@@ -365,6 +370,85 @@ class TestJobManager:
         finally:
             manager.stop()
 
+    def test_frontend_forgets_jobs_the_store_pruned(self, registry):
+        stores = open_stores(queue_limit=8)
+        front = make_manager(registry, stores=stores, role="frontend",
+                             max_history=2).start()
+        worker = make_manager(registry, stores=stores, role="worker",
+                              max_history=2).start()
+        try:
+            ds_id = registry.list()[0]["id"]
+            ids = []
+            for seed in range(5):
+                job = front.submit(
+                    JobSpec(algorithm="kcenter", dataset=ds_id, k=3, seed=seed)
+                )
+                assert front.wait(job.id, timeout=60).state == JobState.DONE
+                ids.append(job.id)
+            with pytest.raises(UnknownJobError):
+                stores.jobs.get(ids[0])
+            with pytest.raises(UnknownJobError):
+                front.get(ids[0])  # the manager keeps no copy of its own
+        finally:
+            worker.stop()
+            front.stop()
+
+    def test_queued_record_with_a_stored_cancel_request_ends_cancelled(self, registry):
+        # an older release cancelled a queued job in two writes, so a
+        # state dir may hold a queued record that already carries the
+        # request; the worker that pops it must end it
+        manager = make_manager(registry)
+        ds_id = registry.list()[0]["id"]
+        jobs = manager.stores.jobs
+        rec = jobs.create(JobRecord(
+            id=jobs.next_job_id(),
+            spec=JobSpec(algorithm="kcenter", dataset=ds_id, k=3).to_dict(),
+            cancel_requested=True,
+        ))
+        manager.stores.work_queue.push(rec.id)
+        manager.start()
+        try:
+            job = manager.wait(rec.id, timeout=30)
+            assert job.state == JobState.CANCELLED
+            assert job.started_at is None and job.result is None
+        finally:
+            manager.stop()
+
+    def test_concurrent_waiters_each_get_their_terminal_record(self, registry, monkeypatch):
+        """Waiters share one condition that every terminal write
+        notifies; under heavy thread switching each must still return
+        its own job's terminal record."""
+        def instant(spec, dataset, **kwargs):
+            return {"record": {"seed": spec.seed}}, RunLog()
+
+        monkeypatch.setattr("repro.service.jobs.execute_job", instant)
+        manager = make_manager(registry, workers=4, queue_limit=64).start()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            ds_id = registry.list()[0]["id"]
+            ids = [
+                manager.submit(JobSpec(algorithm="kcenter", dataset=ds_id, k=3, seed=s)).id
+                for s in range(32)
+            ]
+            got = {}
+
+            def waiter(chunk):
+                for job_id in chunk:
+                    got[job_id] = manager.wait(job_id, timeout=30)
+
+            threads = [threading.Thread(target=waiter, args=(ids[i::8],)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            manager.stop()
+        assert [got[j].state for j in ids] == ["done"] * 32
+        assert [got[j].result["record"]["seed"] for j in ids] == list(range(32))
+
     def test_max_history_never_evicts_live_jobs(self, registry):
         manager = make_manager(registry, queue_limit=8, max_history=1)  # not started
         ds_id = registry.list()[0]["id"]
@@ -378,8 +462,8 @@ class TestJobManager:
         manager.cancel(queued[1].id)
         # ... and only terminal ones count against the cap
         states = {j.id: j.state for j in manager.list_jobs()}
-        assert states[queued[2].id] is JobState.QUEUED
-        assert sum(s.terminal for s in states.values()) == 1
+        assert states[queued[2].id] == JobState.QUEUED
+        assert sum(JobState(s).terminal for s in states.values()) == 1
 
     def test_diversity_and_ksupplier_jobs(self, registry, points):
         manager = make_manager(registry).start()
@@ -393,8 +477,8 @@ class TestJobManager:
                         customers=list(range(80)),
                         suppliers=list(range(80, 120)))
             )
-            assert manager.wait(div.id, timeout=60).state is JobState.DONE
-            assert manager.wait(sup.id, timeout=60).state is JobState.DONE
+            assert manager.wait(div.id, timeout=60).state == JobState.DONE
+            assert manager.wait(sup.id, timeout=60).state == JobState.DONE
             assert manager.get(div.id).result["record"]["diversity"] > 0
         finally:
             manager.stop()

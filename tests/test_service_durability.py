@@ -95,7 +95,7 @@ class TestRestartDurability:
         spec = JobSpec(algorithm="kcenter", dataset=ds.id, k=6, seed=3)
         job = m1.submit(spec)
         done = m1.wait(job.id, timeout=120)
-        assert done.state is JobState.DONE
+        assert done.state == JobState.DONE
         m1.stop()
 
         # a brand-new process on the same directory sees everything
@@ -103,7 +103,7 @@ class TestRestartDurability:
         assert len(m2.datasets) == 1
         assert m2.datasets.get(ds.id).fingerprint == ds.fingerprint
         revived = m2.get(job.id)
-        assert revived.state is JobState.DONE
+        assert revived.state == JobState.DONE
         # bit-identical to the uninterrupted in-memory run — centers,
         # radius, AND the CountingOracle ledger
         assert canon(revived.result) == canon(reference)
@@ -129,7 +129,7 @@ class TestRestartDurability:
         node = make_manager(state).start()
         try:
             for jid in ids:
-                assert node.wait(jid, timeout=120).state is JobState.DONE
+                assert node.wait(jid, timeout=120).state == JobState.DONE
         finally:
             node.stop()
 
@@ -157,7 +157,7 @@ class TestOrphanRecovery:
             timeout=60,
         )
         assert proc.returncode == 9
-        assert front.get(job.id).state is JobState.RUNNING
+        assert front.get(job.id).state == JobState.RUNNING
         return front, job
 
     def test_orphan_requeued_and_result_bit_identical(self, tmp_path, points):
@@ -189,7 +189,7 @@ class TestOrphanRecovery:
         worker = make_manager(state, role="worker", lease_s=5.0).start()
         try:
             done = survivor.wait(job.id, timeout=120)
-            assert done.state is JobState.DONE
+            assert done.state == JobState.DONE
             assert done.attempt == 1  # recorded recovery, same answer
             assert canon(done.result) == canon(reference)
         finally:
@@ -218,7 +218,7 @@ class TestOrphanRecovery:
         time.sleep(0.3)
         front.recover_now()
         done = front.get(job.id)
-        assert done.state is JobState.FAILED
+        assert done.state == JobState.FAILED
         assert "requeue budget" in done.error
         assert front.stats()["orphans"]["exhausted_total"] == 1
         front.stop()
@@ -242,7 +242,7 @@ class TestCrossProcessCacheSharing:
         assert ds2.id == ds1.id and ds2.fingerprint == ds1.fingerprint
         job = m2.submit(JobSpec(dataset=ds2.id, **spec))
         assert job.cached is True
-        assert job.state is JobState.DONE
+        assert job.state == JobState.DONE
         assert job.result == done.result
         assert m2.cache.stats()["hits_total"] >= 1
         m2.stop()
@@ -260,7 +260,7 @@ class TestCrossProcessCacheSharing:
             "ds = mgr.datasets.register_points(pts)\n"
             "job = mgr.submit(JobSpec(algorithm='kcenter', dataset=ds.id, k=5, seed=2))\n"
             "done = mgr.wait(job.id, timeout=120)\n"
-            "assert done.state.value == 'done', done.error\n"
+            "assert done.state == 'done', done.error\n"
             "mgr.stop()\n"
         )
         proc = subprocess.run(
@@ -293,7 +293,7 @@ class TestSharedQueueConcurrency:
                 for s in range(6)
             ]
             done = [front.wait(jid, timeout=180) for jid in ids]
-            assert all(j.state is JobState.DONE for j in done)
+            assert all(j.state == JobState.DONE for j in done)
             # distinct seeds → distinct results, all completed exactly once
             workers_used = {
                 front.stores.jobs.get(j.id).worker for j in done

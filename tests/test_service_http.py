@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -25,6 +26,7 @@ import pytest
 from repro.api import solve_kcenter
 from repro.service import ServiceClient, ServiceError, serve
 from repro.service.http import run_in_thread
+from repro.service.runner import JobCancelled
 
 
 @pytest.fixture
@@ -215,6 +217,30 @@ class TestJobsEndToEnd:
             client.cancel(done["id"])
         assert exc.value.status == 409
 
+    def test_cancel_running_job_via_http(self, monkeypatch, points):
+        started = threading.Event()
+
+        def run_until_cancelled(spec, dataset, **kwargs):
+            started.set()
+            if not kwargs["cancel_event"].wait(timeout=30):
+                raise AssertionError("the cancel request never reached the run")
+            raise JobCancelled()
+
+        monkeypatch.setattr("repro.service.jobs.execute_job", run_until_cancelled)
+        srv = serve(port=0, workers=1)
+        run_in_thread(srv)
+        try:
+            client = ServiceClient(srv.url, timeout=30.0)
+            ds = client.register_points(points)
+            job = client.submit(algorithm="kcenter", dataset=ds["id"], k=3)
+            assert started.wait(timeout=30)
+            assert client.cancel(job["id"])["id"] == job["id"]  # 200
+            assert client.wait(job["id"], timeout=30)["state"] == "cancelled"
+            # the stored request keeps a repeated DELETE idempotent
+            assert client.cancel(job["id"])["state"] == "cancelled"
+        finally:
+            srv.shutdown_service()
+
     def test_job_listing_and_state_filter(self, client, points):
         ds = client.register_points(points)
         done = client.wait(
@@ -255,6 +281,24 @@ class TestJobsEndToEnd:
 
 
 class TestServeWiring:
+    def test_connection_bursts_are_not_dropped(self, server):
+        """16 clients connecting at once all fit the listen backlog; a
+        dropped connection would stall a second in SYN retransmit."""
+        url = server.url + "/v1/healthz"
+        for _ in range(3):
+            barrier = threading.Barrier(16)
+
+            def probe():
+                barrier.wait()
+                t0 = time.perf_counter()
+                with urllib.request.urlopen(url, timeout=10) as resp:
+                    resp.read()
+                return time.perf_counter() - t0
+
+            with ThreadPoolExecutor(max_workers=16) as pool:
+                latencies = list(pool.map(lambda _: probe(), range(16)))
+            assert max(latencies) < 0.9, latencies
+
     def test_ephemeral_port_and_clean_shutdown(self):
         srv = serve(port=0, workers=1)
         thread = run_in_thread(srv)

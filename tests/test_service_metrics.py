@@ -120,7 +120,7 @@ class TestChaosReconciliation:
                 algorithm="kcenter", dataset=ds.id, k=5, eps=0.2,
                 machines=4, seed=7,
             ))
-            manager.wait(job.id, timeout=300)
+            job = manager.wait(job.id, timeout=300)
             assert job.state == "done", job.error
             executor_stats = job.result["recovery"]["executor"]
             assert executor_stats["faults_injected"] >= 1  # the seed really fired

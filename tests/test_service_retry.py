@@ -99,8 +99,8 @@ class TestJobRetry:
         manager = make_manager(registry, monkeypatch, flaky_execute_job(2))
         try:
             job = manager.submit(JobSpec(algorithm="kcenter", dataset=ds.id, k=3))
-            manager.wait(job.id, timeout=10)
-            assert job.state is JobState.DONE
+            job = manager.wait(job.id, timeout=10)
+            assert job.state == JobState.DONE
             assert job.result["attempt_no"] == 3
             assert job.attempt == 2 and len(job.attempts) == 2
             for i, record in enumerate(job.attempts):
@@ -126,8 +126,8 @@ class TestJobRetry:
         )
         try:
             job = manager.submit(JobSpec(algorithm="kcenter", dataset=ds.id, k=3))
-            manager.wait(job.id, timeout=10)
-            assert job.state is JobState.FAILED
+            job = manager.wait(job.id, timeout=10)
+            assert job.state == JobState.FAILED
             assert "synthetic infra crash #3" in job.error
             assert job.attempt == 2 and len(job.attempts) == 2
             stats = manager.stats()["retry"]
@@ -144,8 +144,8 @@ class TestJobRetry:
             job = manager.submit(
                 JobSpec(algorithm="kcenter", dataset=ds.id, k=3, max_retries=0)
             )
-            manager.wait(job.id, timeout=10)
-            assert job.state is JobState.FAILED
+            job = manager.wait(job.id, timeout=10)
+            assert job.state == JobState.FAILED
             assert job.attempt == 0 and job.attempts == []
             assert execute.calls[job.id] == 1  # no retries at all
         finally:
@@ -157,8 +157,8 @@ class TestJobRetry:
         manager = make_manager(registry, monkeypatch, execute, retry_policy=RetryPolicy())
         try:
             job = manager.submit(JobSpec(algorithm="kcenter", dataset=ds.id, k=3))
-            manager.wait(job.id, timeout=10)
-            assert job.state is JobState.FAILED
+            job = manager.wait(job.id, timeout=10)
+            assert job.state == JobState.FAILED
             assert manager.stats()["retry"]["jobs_exhausted_total"] == 0  # budget was 0
         finally:
             manager.stop()
@@ -173,12 +173,12 @@ class TestJobRetry:
             job = manager.submit(JobSpec(algorithm="kcenter", dataset=ds.id, k=3))
             # wait for the first failure to schedule a retry, then cancel
             deadline = time.monotonic() + 5
-            while job.attempt == 0 and time.monotonic() < deadline:
+            while (job := manager.get(job.id)).attempt == 0 and time.monotonic() < deadline:
                 time.sleep(0.01)
             assert job.attempt >= 1
             manager.cancel(job.id)
-            manager.wait(job.id, timeout=10)
-            assert job.state is JobState.CANCELLED
+            job = manager.wait(job.id, timeout=10)
+            assert job.state == JobState.CANCELLED
         finally:
             manager.stop()
 
@@ -198,7 +198,7 @@ class TestStopReportsStuckWorkers:
         )
         job = manager.submit(JobSpec(algorithm="kcenter", dataset=ds.id, k=3))
         deadline = time.monotonic() + 5
-        while job.state is not JobState.RUNNING and time.monotonic() < deadline:
+        while manager.get(job.id).state != JobState.RUNNING and time.monotonic() < deadline:
             time.sleep(0.01)
         with pytest.warns(RuntimeWarning, match="still alive"):
             manager.stop(wait=True)

@@ -23,7 +23,6 @@ from repro.service.store import (
     QueueFullError,
     UnknownJobError,
     ensure_queued_jobs_enqueued,
-    iterate_jobs,
     open_stores,
 )
 
@@ -220,11 +219,6 @@ class TestJobStoreContract:
         jobs.claim(a.id, "w1", lease_expires_at=1e12)
         running, _ = jobs.list(state="running")
         assert [r.id for r in running] == [a.id]
-
-    def test_iterate_jobs_follows_cursors(self, jobs):
-        made = [_record(jobs) for _ in range(7)]
-        seen = [r.id for r in iterate_jobs(jobs, page_size=3)]
-        assert seen == [r.id for r in made]
 
     def test_prune_terminal_evicts_oldest(self, jobs):
         made = [_record(jobs) for _ in range(4)]
@@ -495,6 +489,68 @@ class TestLifecycleInvariants:
         assert jobs.heartbeat("job-424242", "w1", lease_expires_at=1e12) is None
         ghost = JobRecord(id="job-424242", spec={}, state="done")
         assert jobs.finish(ghost, "w1") is None
+
+
+class TestCancelRequests:
+    """A stored cancel request outlives the lease holder's writes."""
+
+    def test_request_after_claim_survives_finish_to_done(self, jobs):
+        rec = _record(jobs)
+        claimed = jobs.claim(rec.id, "w1", lease_expires_at=1e12)
+        jobs.set_cancel_requested(rec.id)
+        claimed.state = "done"
+        claimed.result = {"answer": 42}
+        finished = jobs.finish(claimed, "w1")
+        assert finished.state == "done" and finished.cancel_requested
+        assert jobs.get(rec.id).cancel_requested
+
+    def test_requeue_of_a_cancel_requested_job_ends_it(self, jobs):
+        rec = _record(jobs)
+        claimed = jobs.claim(rec.id, "w1", lease_expires_at=1e12)
+        jobs.set_cancel_requested(rec.id)
+        claimed.state = "queued"  # a crash retry, as JobManager writes it
+        claimed.attempt += 1
+        finished = jobs.finish(claimed, "w1")
+        assert finished.state == "cancelled" and finished.cancel_requested
+        got = jobs.get(rec.id)
+        assert got.state == "cancelled" and got.cancel_requested
+        assert got.attempt == rec.attempt  # the retry never ran
+        assert jobs.claim(rec.id, "w1", lease_expires_at=1e12) is None
+
+    def test_cancel_ends_a_queued_job_in_one_write(self, jobs):
+        rec = _record(jobs)
+        cancelled = jobs.set_cancel_requested(rec.id)
+        assert cancelled.state == "cancelled" and cancelled.cancel_requested
+        assert cancelled.finished_at is not None
+        assert cancelled.version == rec.version + 1
+
+    def test_cancel_of_a_terminal_job_writes_nothing(self, jobs):
+        rec = _record(jobs)
+        claimed = jobs.claim(rec.id, "w1", lease_expires_at=1e12)
+        claimed.state = "done"
+        done = jobs.finish(claimed, "w1")
+        again = jobs.set_cancel_requested(rec.id)
+        assert again.state == "done" and not again.cancel_requested
+        assert again.version == done.version
+
+    def test_end_queued(self, jobs):
+        rec = _record(jobs)
+        assert jobs.end_queued(rec.id) is None  # no request, no error: kept
+        failed = jobs.end_queued(rec.id, "retry abandoned")
+        assert failed.state == "failed" and failed.error == "retry abandoned"
+        assert failed.finished_at is not None
+        running = _record(jobs)
+        jobs.claim(running.id, "w1", lease_expires_at=1e12)
+        assert jobs.end_queued(running.id, "x") is None
+        assert jobs.end_queued("job-424242", "x") is None
+
+    def test_end_queued_honours_a_stored_request(self, jobs):
+        # an older release cancelled a queued job in two writes; a crash
+        # between them leaves a queued record that carries the request
+        rec = _record(jobs, cancel_requested=True)
+        assert jobs.claim(rec.id, "w1", lease_expires_at=1e12) is None
+        ended = jobs.end_queued(rec.id)
+        assert ended.state == "cancelled" and ended.error is None
 
 
 class TestSqliteCounters:

@@ -208,8 +208,8 @@ class TestDriftDeterminism:
                         machines=4, warm_start=True,
                     )
                 )
-                manager.wait(job.id)
-                assert job.state.value == "done", job.error
+                job = manager.wait(job.id)
+                assert job.state == "done", job.error
                 payload = job.result
                 reports.append(
                     {

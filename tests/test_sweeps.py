@@ -370,7 +370,7 @@ class TestEndToEnd:
             assert record.trace_id is not None
             for job_id in record.cell_job_ids:
                 job = manager.get(job_id)
-                assert job.trace.trace_id == record.trace_id
+                assert job.trace_id == record.trace_id
         finally:
             _teardown(manager, sweeps)
 
