@@ -22,7 +22,7 @@ from repro.analysis.reports import format_table
 from repro.core.degree_approx import mpc_degree_approximation
 from repro.core.kbounded_mis import mpc_k_bounded_mis
 from repro.core.kcenter import mpc_kcenter_coreset
-from repro.mpc.trace import MessageTrace
+from repro.obs import Recorder
 from repro.workloads import gaussian_mixture
 
 
@@ -83,16 +83,16 @@ def main() -> None:
 
     # ---- stage 4: the full pipeline with message tracing -------------------
     cluster = MPCCluster(metric, m, seed=1)
-    trace = cluster.obs.add(MessageTrace())
+    rec = Recorder.attach(cluster)
     result = mpc_kcenter(cluster, k, epsilon=eps, constants=constants)
-    trace.detach()
+    rec.detach()
     print(
         format_table(
             [
                 {"message tag": tag, "words": words}
-                for tag, words in list(trace.words_by_tag().items())[:8]
+                for tag, words in list(rec.log.words_by_tag().items())[:8]
             ],
-            title=f"\nstage 4 — where the {trace.total_words()} words went "
+            title=f"\nstage 4 — where the {cluster.stats.total_words} words went "
             f"(radius {result.radius:.4f} <= tau_j {result.tau:.4f}, "
             f"{result.rounds} rounds)",
         )

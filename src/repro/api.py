@@ -77,7 +77,7 @@ from repro.mpc.cluster import MPCCluster
 from repro.mpc.executor import ExecutionBackend, get_executor
 from repro.mpc.limits import Limits
 from repro.mpc.partition import get_partitioner
-from repro.obs.metrics import MetricsObserver, MetricsRegistry, default_registry
+from repro.obs.metrics import MetricsObserver, current_registry, default_registry
 from repro.obs.tracing import TraceContext, current_trace
 
 #: default machine count when ``machines=None`` (matches the CLI default)
@@ -211,18 +211,21 @@ def metrics_reset() -> None:
 
 
 def _observed_solve(algorithm: str, cluster: MPCCluster, call: Callable,
-                    owns_executor: bool = False,
-                    registry: Optional[MetricsRegistry] = None):
+                    owns_executor: bool = False):
     """Run one solver call with a metrics observer attached.
 
-    The observer is attached for exactly the duration of the call, so
+    The observer feeds the ambient registry
+    (:func:`~repro.obs.metrics.current_registry`: the process-global
+    one unless the caller installed another with
+    :func:`~repro.obs.metrics.use_registry`, as the job service does).
+    It is attached for exactly the duration of the call, so
     pre-assembled clusters (``cluster=``) are instrumented identically
     to facade-assembled ones and repeated solves never stack observers.
     With ``owns_executor`` (the facade built the executor itself) the
     executor is shut down when the call ends, raised or not, so no
     worker process outlives the solve.
     """
-    registry = registry if registry is not None else default_registry()
+    registry = current_registry()
     observer = MetricsObserver(registry)
     registry.counter(
         "repro_solver_runs_total", "facade solver calls started",

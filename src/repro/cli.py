@@ -447,12 +447,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     """Run an algorithm with message tracing and print the communication
     breakdown by message tag and by round."""
-    from repro.mpc.trace import MessageTrace
+    from repro.obs import Recorder
 
     wl = make_workload(args.workload, args.n, seed=args.seed)
     cluster = _build_cluster(args, wl.metric)
-    trace = cluster.obs.add(MessageTrace())
-    recorder = _setup_obs(args, cluster)
+    recorder = Recorder.attach(cluster)
     if args.algorithm == "kcenter":
         solve_kcenter(k=args.k, eps=args.epsilon, constants=_constants(args), cluster=cluster)
     elif args.algorithm == "diversity":
@@ -460,19 +459,18 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     else:
         _setup_metrics(args, cluster)
         mpc_k_bounded_mis(cluster, args.tau, args.k, constants=_constants(args))
-    cluster.obs.remove(trace)
 
     print(
         format_table(
             [
                 {"message tag": tag, "words": words}
-                for tag, words in trace.words_by_tag().items()
+                for tag, words in recorder.log.words_by_tag().items()
             ],
             title=f"communication by message tag — {args.algorithm}, "
             f"n={wl.n}, k={args.k}, m={args.machines}",
         )
     )
-    heavy = trace.heaviest_events(limit=5)
+    heavy = recorder.log.heaviest_messages(limit=5)
     print()
     print(
         format_table(
@@ -483,7 +481,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             title="heaviest individual messages",
         )
     )
-    print(f"\ntotal: {trace.total_words()} words over {cluster.stats.rounds} rounds")
+    print(f"\ntotal: {cluster.stats.total_words} words over {cluster.stats.rounds} rounds")
     _finish_obs(args, recorder)
     _maybe_metrics(args)
     return 0

@@ -29,7 +29,6 @@ from repro.mpc.remote import (
     WorkerAgent,
     parse_worker_addresses,
 )
-from repro.mpc.trace import MessageTrace
 from repro.mpc.machine import Machine
 from repro.mpc.message import Ids, Message, PointBatch, payload_words
 from repro.mpc.limits import Limits
@@ -58,7 +57,6 @@ __all__ = [
     "REMOTE_WORKERS_ENV_VAR",
     "parse_worker_addresses",
     "get_executor",
-    "MessageTrace",
     "ClusterStats",
     "RoundStats",
     "random_partition",

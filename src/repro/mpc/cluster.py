@@ -344,14 +344,6 @@ class MPCCluster:
 
     # -- messaging ---------------------------------------------------------------
 
-    def _post(self, post: _Post) -> None:
-        """Queue one entry; observers that want messages hear of each
-        envelope it stands for, in order."""
-        self._outbox.append(post)
-        if self.obs.wants_messages:
-            for msg in post.messages():
-                self.obs.emit_send(msg)
-
     def _queue(self, src: int, dsts: np.ndarray, payload: Any, tag: str) -> None:
         """Queue ``payload`` from ``src`` to each of ``dsts``, with one
         strict check of the points it carries and one word count."""
@@ -362,7 +354,8 @@ class MPCCluster:
             if self.strict:
                 self.machines[src].require_known(teach)
         words = payload_words(payload, self.metric.point_words())
-        self._post(_Post(src, dsts, np.full(dsts.size, words, dtype=np.int64), tag, payload, teach))
+        self._outbox.append(_Post(src, dsts, np.full(dsts.size, words, dtype=np.int64), tag,
+                                  payload, teach))
 
     def send(self, src: int, dst: int, payload: Any, tag: str = "") -> None:
         """Queue a message for delivery at the next :meth:`step`.
@@ -413,7 +406,7 @@ class MPCCluster:
             length, teach = payload.shape[0], None
         if int(sizes.sum()) != length or (sizes < 0).any():
             raise ValueError("scatter sizes must split the payload exactly")
-        self._post(_Post(src, dsts, sizes * per_item, tag, payload, teach, sizes=sizes))
+        self._outbox.append(_Post(src, dsts, sizes * per_item, tag, payload, teach, sizes=sizes))
 
     def step(self) -> Inboxes:
         """Round barrier: deliver all queued messages.

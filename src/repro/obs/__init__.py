@@ -10,13 +10,15 @@ is built:
   deltas captured at entry and exit);
 * **hooks** (:mod:`repro.obs.observer`) — the :class:`Observer` API and
   the :class:`ObserverHub` every :class:`~repro.mpc.cluster.MPCCluster`
-  owns as ``cluster.obs``.  ``step()`` and ``send()`` invoke the hub
-  natively (no monkey-patching), and algorithms open phase spans with
+  owns as ``cluster.obs``.  ``step()`` invokes the hub natively (no
+  monkey-patching), and algorithms open phase spans with
   ``cluster.obs.span("kcenter/probe", ...)``;
 * **sinks** (:mod:`repro.obs.record`, :mod:`repro.obs.export`) — the
   :class:`Recorder` observer collects everything into a :class:`RunLog`,
-  which exports to JSONL, to the Chrome trace-event format
-  (``chrome://tracing`` / Perfetto), or to an ASCII per-phase report.
+  which answers per-message queries (words by tag or round, the
+  heaviest messages) and exports to JSONL, to the Chrome trace-event
+  format (``chrome://tracing`` / Perfetto), or to an ASCII per-phase
+  report.
 
 A fourth layer, **metrics** (:mod:`repro.obs.metrics`), aggregates the
 same events into a low-overhead :class:`MetricsRegistry` — counters,
@@ -26,13 +28,14 @@ service's ``GET /metrics`` (see ``docs/metrics.md``).
 
 Quickstart::
 
-    from repro.obs import Recorder, phase_report, write_chrome_trace
+    from repro.obs import Recorder, export_run, phase_report
 
     cluster = MPCCluster(metric, num_machines=8, seed=0)
     rec = Recorder.attach(cluster)
     mpc_kcenter(cluster, k=8)
     print(phase_report(rec.log))
-    write_chrome_trace(rec.log, "run.json")   # open in ui.perfetto.dev
+    print(rec.log.words_by_tag())             # words per message tag
+    export_run(rec.log, "run.json")           # open in ui.perfetto.dev
 
 Span names follow the ``<algorithm>/<phase>`` convention of the message
 tags (``kcenter/probe``, ``mis/round``, ``degree/estimate``, …); see
@@ -53,8 +56,6 @@ from repro.obs.export import (
     read_jsonl,
     to_chrome_trace,
     trace_payload,
-    write_chrome_trace,
-    write_jsonl,
 )
 from repro.obs.logging import configure as configure_logging
 from repro.obs.logging import get_logger
@@ -89,11 +90,9 @@ __all__ = [
     "default_registry",
     "DEFAULT_TIME_BUCKETS",
     "PROMETHEUS_CONTENT_TYPE",
-    "write_jsonl",
     "read_jsonl",
     "canonical_chrome_trace",
     "to_chrome_trace",
-    "write_chrome_trace",
     "phase_report",
     "export_run",
     "trace_payload",

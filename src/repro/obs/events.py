@@ -1,6 +1,6 @@
 """Structured event records emitted by the instrumentation layer.
 
-Four record types cover the granularities the paper's theorems (and a
+Five record types cover the granularities the paper's theorems (and a
 production deployment's failure modes) speak about:
 
 * :class:`MessageEvent` — one delivered message (*where the words go*);
@@ -16,19 +16,46 @@ production deployment's failure modes) speak about:
   and shipped back with its results (*where the worker-level
   parallelism goes*).
 
-All records are plain dataclasses with a ``to_dict`` for serialization;
-they carry no references back into the simulator, so a recorded run log
+All records are plain dataclasses; :class:`Record` derives their
+serialized form from the dataclass fields, so a field is named once.
+They carry no references back into the simulator, so a recorded run log
 stays valid after the cluster is gone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from dataclasses import dataclass, field, fields
+from functools import lru_cache
+from typing import Any, Dict, Optional, Tuple
+
+
+@lru_cache(maxsize=None)
+def _keys(cls) -> Tuple[str, ...]:
+    """The keys of ``cls``'s serialized form, in order (cached:
+    serializing a run log calls ``to_dict`` once per record)."""
+    return tuple(f.name for f in fields(cls)) + cls.derived
+
+
+class Record:
+    """Serialization shared by the record types: one key per dataclass
+    field, in field order, then the read-only properties named in
+    ``derived``.  Values are not copied."""
+
+    derived: Tuple[str, ...] = ()
+
+    def to_dict(self) -> dict:
+        return {name: getattr(self, name) for name in _keys(type(self))}
+
+    @classmethod
+    def from_dict(cls, obj: dict):
+        """Rebuild a record from :meth:`to_dict` output; derived and
+        unknown keys are ignored."""
+        names = {f.name for f in fields(cls)}
+        return cls(**{k: v for k, v in obj.items() if k in names})
 
 
 @dataclass(frozen=True)
-class MessageEvent:
+class MessageEvent(Record):
     """One delivered message (recorded at the round barrier)."""
 
     round_no: int
@@ -37,18 +64,9 @@ class MessageEvent:
     tag: str
     words: int
 
-    def to_dict(self) -> dict:
-        return {
-            "round_no": self.round_no,
-            "src": self.src,
-            "dst": self.dst,
-            "tag": self.tag,
-            "words": self.words,
-        }
-
 
 @dataclass
-class RoundRecord:
+class RoundRecord(Record):
     """One completed ``step()``: totals plus the wall-clock interval."""
 
     round_no: int
@@ -64,19 +82,9 @@ class RoundRecord:
     def duration_s(self) -> float:
         return self.end_time - self.start_time
 
-    def to_dict(self) -> dict:
-        return {
-            "round_no": self.round_no,
-            "start_time": self.start_time,
-            "end_time": self.end_time,
-            "words": self.words,
-            "messages": self.messages,
-            "max_load": self.max_load,
-        }
-
 
 @dataclass(frozen=True)
-class FaultEvent:
+class FaultEvent(Record):
     """One injected fault, or one recovery action taken for a fault.
 
     ``injected=True`` records a fault going in (a worker kill, a
@@ -105,21 +113,9 @@ class FaultEvent:
     #: wall-clock stamp (``time.perf_counter`` domain, matching spans)
     time: float = 0.0
 
-    def to_dict(self) -> dict:
-        return {
-            "layer": self.layer,
-            "kind": self.kind,
-            "injected": self.injected,
-            "round_no": self.round_no,
-            "target": self.target,
-            "attempt": self.attempt,
-            "detail": self.detail,
-            "time": self.time,
-        }
-
 
 @dataclass
-class SpanRecord:
+class SpanRecord(Record):
     """One named algorithm phase with entry/exit counter snapshots.
 
     ``start_*``/``end_*`` pairs are cumulative cluster counters captured
@@ -127,6 +123,9 @@ class SpanRecord:
     are the phase's own inclusive cost — nested child spans are counted
     inside their parents, as in any tracing system.
     """
+
+    derived = ("rounds", "words", "messages", "oracle_calls",
+               "oracle_evaluations", "duration_s")
 
     name: str
     uid: int
@@ -185,39 +184,9 @@ class SpanRecord:
         """True iff round ``round_no`` completed while this span was open."""
         return self.start_round < round_no <= self.end_round
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "uid": self.uid,
-            "parent_uid": self.parent_uid,
-            "depth": self.depth,
-            "attrs": dict(self.attrs),
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "parent_span_id": self.parent_span_id,
-            "start_time": self.start_time,
-            "end_time": self.end_time,
-            "start_round": self.start_round,
-            "end_round": self.end_round,
-            "start_words": self.start_words,
-            "end_words": self.end_words,
-            "start_messages": self.start_messages,
-            "end_messages": self.end_messages,
-            "start_oracle_calls": self.start_oracle_calls,
-            "end_oracle_calls": self.end_oracle_calls,
-            "start_oracle_evaluations": self.start_oracle_evaluations,
-            "end_oracle_evaluations": self.end_oracle_evaluations,
-            "rounds": self.rounds,
-            "words": self.words,
-            "messages": self.messages,
-            "oracle_calls": self.oracle_calls,
-            "oracle_evaluations": self.oracle_evaluations,
-            "duration_s": self.duration_s,
-        }
-
 
 @dataclass
-class ExecSpanRecord:
+class ExecSpanRecord(Record):
     """One executor chunk, timed inside the worker that computed it.
 
     The driver builds the record's metadata — trace context included —
@@ -235,6 +204,8 @@ class ExecSpanRecord:
     remote agents do not, so their stamps order events only within one
     agent.
     """
+
+    derived = ("duration_s",)
 
     #: span name, e.g. ``"exec/chunk"`` or ``"remote/chunk"``
     name: str
@@ -259,20 +230,3 @@ class ExecSpanRecord:
     @property
     def duration_s(self) -> float:
         return self.end_time - self.start_time
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "worker": self.worker,
-            "batch": self.batch,
-            "attempt": self.attempt,
-            "chunk_size": self.chunk_size,
-            "first_index": self.first_index,
-            "os_pid": self.os_pid,
-            "start_time": self.start_time,
-            "end_time": self.end_time,
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "parent_span_id": self.parent_span_id,
-            "duration_s": self.duration_s,
-        }

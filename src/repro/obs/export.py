@@ -2,14 +2,16 @@
 
 Three sinks for a recorded :class:`~repro.obs.record.RunLog`:
 
-* :func:`write_jsonl` / :func:`read_jsonl` — one JSON object per line
-  (``meta``, then every span/round/message tagged with a ``type``
-  field); machine-readable, append-friendly, and round-trippable;
-* :func:`to_chrome_trace` / :func:`write_chrome_trace` — the Chrome
-  trace-event format (JSON Array Format with ``traceEvents``), loadable
-  in ``chrome://tracing`` and https://ui.perfetto.dev: spans render as
-  nested "X" slices on one track, rounds as slices on a second track,
-  and per-round word counts as a counter series;
+* :func:`trace_payload` — the one serializer per format, returning
+  ``(content_type, body)``: ``jsonl`` is one JSON object per line
+  (``meta``, then every span/round/message/fault/exec span tagged with
+  a ``type`` field), round-trippable through :func:`read_jsonl`;
+  ``chrome`` is the Chrome trace-event format built by
+  :func:`to_chrome_trace` (JSON Object Format with ``traceEvents``),
+  loadable in ``chrome://tracing`` and https://ui.perfetto.dev: spans
+  render as nested "X" slices on one track, rounds as slices on a
+  second track, and per-round word counts as a counter series;
+  :func:`export_run` writes that body to a file;
 * :func:`phase_report` — the per-phase ASCII table the CLI prints for
   ``--report phases``.
 
@@ -37,43 +39,20 @@ PathLike = Union[str, Path]
 
 # -- JSONL -----------------------------------------------------------------------
 
-def write_jsonl(log: RunLog, path: PathLike) -> Path:
-    """Write the run log as JSON Lines; returns the path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as fh:
-        fh.write(json.dumps({"type": "meta", **log.meta}) + "\n")
-        for s in log.spans:
-            fh.write(json.dumps({"type": "span", **s.to_dict()}) + "\n")
-        for r in log.rounds:
-            fh.write(json.dumps({"type": "round", **r.to_dict()}) + "\n")
-        for m in log.messages:
-            fh.write(json.dumps({"type": "message", **m.to_dict()}) + "\n")
-        for f in log.faults:
-            fh.write(json.dumps({"type": "fault", **f.to_dict()}) + "\n")
-        for e in log.exec_spans:
-            fh.write(json.dumps({"type": "exec_span", **e.to_dict()}) + "\n")
-    return path
+#: JSONL line type -> ``(RunLog list, record type)``, in write order
+_JSONL_RECORDS = {
+    "span": ("spans", SpanRecord),
+    "round": ("rounds", RoundRecord),
+    "message": ("messages", MessageEvent),
+    "fault": ("faults", FaultEvent),
+    "exec_span": ("exec_spans", ExecSpanRecord),
+}
 
 
 def read_jsonl(path: PathLike) -> RunLog:
-    """Parse a file written by :func:`write_jsonl` back into a RunLog."""
+    """Parse a ``jsonl`` trace (see :func:`trace_payload`) back into a
+    RunLog; ``annotation`` lines are skipped."""
     log = RunLog()
-    span_fields = {
-        "name", "uid", "parent_uid", "depth", "attrs",
-        "trace_id", "span_id", "parent_span_id",
-        "start_time", "end_time", "start_round", "end_round",
-        "start_words", "end_words", "start_messages", "end_messages",
-        "start_oracle_calls", "end_oracle_calls",
-        "start_oracle_evaluations", "end_oracle_evaluations",
-    }
-    round_fields = {"round_no", "start_time", "end_time", "words", "messages", "max_load"}
-    message_fields = {"round_no", "src", "dst", "tag", "words"}
-    fault_fields = {"layer", "kind", "injected", "round_no", "target", "attempt",
-                    "detail", "time"}
-    exec_fields = {"name", "worker", "batch", "attempt", "chunk_size", "first_index",
-                   "os_pid", "start_time", "end_time",
-                   "trace_id", "span_id", "parent_span_id"}
     for line in Path(path).read_text().splitlines():
         if not line.strip():
             continue
@@ -81,26 +60,9 @@ def read_jsonl(path: PathLike) -> RunLog:
         kind = obj.pop("type", None)
         if kind == "meta":
             log.meta = obj
-        elif kind == "span":
-            log.spans.append(
-                SpanRecord(**{k: v for k, v in obj.items() if k in span_fields})
-            )
-        elif kind == "round":
-            log.rounds.append(
-                RoundRecord(**{k: v for k, v in obj.items() if k in round_fields})
-            )
-        elif kind == "message":
-            log.messages.append(
-                MessageEvent(**{k: v for k, v in obj.items() if k in message_fields})
-            )
-        elif kind == "fault":
-            log.faults.append(
-                FaultEvent(**{k: v for k, v in obj.items() if k in fault_fields})
-            )
-        elif kind == "exec_span":
-            log.exec_spans.append(
-                ExecSpanRecord(**{k: v for k, v in obj.items() if k in exec_fields})
-            )
+        elif kind in _JSONL_RECORDS:
+            attr, cls = _JSONL_RECORDS[kind]
+            getattr(log, attr).append(cls.from_dict(obj))
     return log
 
 
@@ -235,14 +197,6 @@ def to_chrome_trace(log: RunLog) -> Dict:
     }
 
 
-def write_chrome_trace(log: RunLog, path: PathLike) -> Path:
-    """Write :func:`to_chrome_trace` output as JSON; returns the path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(to_chrome_trace(log), indent=1) + "\n")
-    return path
-
-
 # -- ASCII report -----------------------------------------------------------------
 
 def phase_report(log: RunLog, title: str = "per-phase breakdown") -> str:
@@ -273,22 +227,23 @@ def phase_report(log: RunLog, title: str = "per-phase breakdown") -> str:
 
 
 def export_run(log: RunLog, path: PathLike, fmt: str = "chrome") -> Path:
-    """Dispatch on ``fmt`` (``'chrome'`` or ``'jsonl'``)."""
-    if fmt == "chrome":
-        return write_chrome_trace(log, path)
-    if fmt == "jsonl":
-        return write_jsonl(log, path)
-    raise ValueError(f"unknown trace format {fmt!r} (expected 'chrome' or 'jsonl')")
+    """Write the :func:`trace_payload` body for ``fmt`` (``'chrome'`` or
+    ``'jsonl'``) to ``path``; returns the path."""
+    body = trace_payload(log, fmt)[1]
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(body)
+    return path
 
 
 def trace_payload(log: RunLog, fmt: str = "chrome",
                   annotations: Optional[List[dict]] = None) -> tuple[str, str]:
-    """Serialize a run log for wire transfer: ``(content_type, body)``.
+    """Serialize a run log: ``(content_type, body)``.
 
-    The in-memory counterpart of :func:`export_run`, used by the job
-    service to serve ``GET /jobs/<id>/trace`` without touching disk.
-    Bodies round-trip through the corresponding readers (the ``jsonl``
-    form via :func:`read_jsonl`).
+    The one serializer of each format: :func:`export_run` writes its
+    body to disk, and the job service serves it as
+    ``GET /jobs/<id>/trace``.  The ``jsonl`` body round-trips through
+    :func:`read_jsonl`.
 
     ``annotations`` lets the caller attach service-level trace events
     the run log itself cannot know about — e.g. "this response was a
@@ -314,12 +269,9 @@ def trace_payload(log: RunLog, fmt: str = "chrome",
         return "application/json", json.dumps(doc) + "\n"
     if fmt == "jsonl":
         lines = [json.dumps({"type": "meta", **log.meta})]
-        lines += [json.dumps({"type": "span", **s.to_dict()}) for s in log.spans]
-        lines += [json.dumps({"type": "round", **r.to_dict()}) for r in log.rounds]
-        lines += [json.dumps({"type": "message", **m.to_dict()}) for m in log.messages]
-        lines += [json.dumps({"type": "fault", **f.to_dict()}) for f in log.faults]
-        lines += [json.dumps({"type": "exec_span", **e.to_dict()})
-                  for e in log.exec_spans]
+        for kind, (attr, _) in _JSONL_RECORDS.items():
+            lines += [json.dumps({"type": kind, **rec.to_dict()})
+                      for rec in getattr(log, attr)]
         lines += [json.dumps({"type": "annotation", **ann})
                   for ann in annotations or []]
         return "application/x-ndjson", "\n".join(lines) + "\n"

@@ -40,7 +40,9 @@ from __future__ import annotations
 
 import json
 import threading
-from typing import Dict, Iterable, List, Optional, Tuple
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.obs.events import FaultEvent, RoundRecord, SpanRecord
 from repro.obs.observer import Observer
@@ -414,6 +416,7 @@ class MetricsRegistry:
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 _default_registry = MetricsRegistry()
+_current: ContextVar[MetricsRegistry] = ContextVar("repro_registry", default=_default_registry)
 
 
 def default_registry() -> MetricsRegistry:
@@ -421,11 +424,31 @@ def default_registry() -> MetricsRegistry:
     return _default_registry
 
 
+def current_registry() -> MetricsRegistry:
+    """The ambient registry: the one :func:`use_registry` installed,
+    else :func:`default_registry`."""
+    return _current.get()
+
+
+@contextmanager
+def use_registry(registry: MetricsRegistry) -> Iterator[MetricsRegistry]:
+    """Install ``registry`` as the ambient registry for the ``with``
+    body (thread- and task-local via :mod:`contextvars`, like
+    :func:`~repro.obs.tracing.use_trace`): facade solves in it feed
+    ``registry`` and not the process-global one."""
+    token = _current.set(registry)
+    try:
+        yield registry
+    finally:
+        _current.reset(token)
+
+
 class MetricsObserver(Observer):
     """Feeds a :class:`MetricsRegistry` from the hub's native events.
 
     Attach one per cluster (``cluster.obs.add(MetricsObserver())``) —
     or let the facade do it, which it does for every ``solve_*`` call.
+    Without a ``registry`` it feeds :func:`current_registry`.
     Never asks for per-message events, so the hub's zero-listener
     message fast path stays active and the per-message overhead of
     metrics collection is exactly zero.
@@ -434,7 +457,7 @@ class MetricsObserver(Observer):
     wants_messages = False
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        reg = registry if registry is not None else default_registry()
+        reg = registry if registry is not None else current_registry()
         self.registry = reg
         self._rounds = reg.counter(
             "repro_mpc_rounds_total", "MPC rounds executed")

@@ -2,8 +2,8 @@
 
 Every :class:`~repro.mpc.cluster.MPCCluster` owns an :class:`ObserverHub`
 as ``cluster.obs``.  The cluster invokes the hub natively from
-``send()`` and ``step()`` — there is no monkey-patching anywhere — and
-algorithms open *phase spans* through it::
+``step()`` — there is no monkey-patching anywhere — and algorithms open
+*phase spans* through it::
 
     with cluster.obs.span("kcenter/probe", ladder_index=i):
         M = mpc_k_bounded_mis(cluster, tau, k + 1)
@@ -18,13 +18,14 @@ Spans are tracked even when no observer is attached (the stack must
 stay consistent if one attaches mid-run).  Per-message events exist
 only while an observer with ``wants_messages`` is attached: the
 cluster's collectives queue one entry per sender, and only then does
-the cluster synthesise the per-(src, dst) envelopes and events from
-them, in the order and with the words one ``send()`` per pair gives.
-Without such an observer no envelope or event is built at all.
+``step()`` emit one event per (src, dst) message, in the order and with
+the words one ``send()`` per pair gives.  Without such an observer no
+event is built at all.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
 import weakref
 from contextlib import contextmanager
@@ -52,11 +53,11 @@ class Observer:
     #: :meth:`ObserverHub.remove`
     _hub: Optional["ObserverHub"] = None
 
-    #: set False on subclasses that never override :meth:`on_message` /
-    #: :meth:`on_send` — when *no* attached observer wants messages, the
-    #: hub skips per-message event construction entirely, so an
-    #: always-attached aggregator (e.g. the metrics observer) costs
-    #: nothing on the message path
+    #: set False on subclasses that never override :meth:`on_message` —
+    #: when *no* attached observer wants messages, the hub skips
+    #: per-message event construction entirely, so an always-attached
+    #: aggregator (e.g. the metrics observer) costs nothing on the
+    #: message path
     wants_messages: bool = True
 
     def detach(self) -> None:
@@ -67,11 +68,6 @@ class Observer:
     def on_round_start(self, round_no: int) -> None:
         """A ``step()`` barrier began; ``round_no`` is the round being
         executed (the cluster's counter has already advanced to it)."""
-
-    def on_send(self, message) -> None:
-        """A message was queued (pre-delivery).  ``message`` is the
-        :class:`~repro.mpc.message.Message` envelope: the one passed to
-        ``cluster.send``, or one synthesised from a collective."""
 
     def on_message(self, event: MessageEvent) -> None:
         """A message was delivered during the current ``step()``."""
@@ -154,8 +150,7 @@ class ObserverHub:
     @property
     def wants_messages(self) -> bool:
         """True while an attached observer has ``wants_messages``: only
-        then does the cluster synthesise per-message envelopes and
-        events from its collectives."""
+        then does ``step()`` emit per-message events."""
         return self._message_listeners > 0
 
     def __contains__(self, observer: object) -> bool:
@@ -277,12 +272,6 @@ class ObserverHub:
         for ob in self._observers:
             ob.on_round_start(round_no)
 
-    def emit_send(self, message) -> None:
-        if not self._message_listeners:
-            return
-        for ob in self._observers:
-            ob.on_send(message)
-
     def emit_message(self, round_no: int, src: int, dst: int, tag: str, words: int) -> None:
         if not self._message_listeners:
             return
@@ -300,8 +289,7 @@ class ObserverHub:
         if not self._observers:
             return
         if event.time == 0.0:
-            # frozen dataclass: rebuild with the stamp filled in
-            event = FaultEvent(**{**event.to_dict(), "time": time.perf_counter()})
+            event = dataclasses.replace(event, time=time.perf_counter())
         for ob in self._observers:
             ob.on_fault(event)
 

@@ -2,12 +2,18 @@
 
 :class:`Recorder` subscribes to every hook and accumulates a
 :class:`RunLog` — the in-memory trace a run leaves behind.  The log is
-what the exporters (:mod:`repro.obs.export`) consume and what the
-per-phase report aggregates.
+what the exporters (:mod:`repro.obs.export`) consume, what the
+per-phase report aggregates, and what answers the per-message
+questions (which tag moved the words, who talked to whom)::
+
+    rec = Recorder.attach(cluster)
+    mpc_kcenter(cluster, k=8)
+    print(rec.log.words_by_tag())
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List
 
@@ -128,6 +134,30 @@ class RunLog:
             (s.depth, s)
             for s in sorted(self.spans, key=lambda s: (s.start_time, s.uid))
         ]
+
+    # -- message queries ---------------------------------------------------------
+
+    def words_by_tag(self) -> Dict[str, int]:
+        """Total words moved per message tag, heaviest first."""
+        acc: Dict[str, int] = defaultdict(int)
+        for e in self.messages:
+            acc[e.tag] += e.words
+        return dict(sorted(acc.items(), key=lambda kv: -kv[1]))
+
+    def words_by_round(self) -> Dict[int, int]:
+        """Total words delivered per round."""
+        acc: Dict[int, int] = defaultdict(int)
+        for e in self.messages:
+            acc[e.round_no] += e.words
+        return dict(sorted(acc.items()))
+
+    def messages_between(self, src: int, dst: int) -> List[MessageEvent]:
+        """Every message on one directed machine pair, in delivery order."""
+        return [e for e in self.messages if e.src == src and e.dst == dst]
+
+    def heaviest_messages(self, limit: int = 10) -> List[MessageEvent]:
+        """The ``limit`` largest messages; ties keep delivery order."""
+        return sorted(self.messages, key=lambda e: -e.words)[:limit]
 
 
 class Recorder(Observer):

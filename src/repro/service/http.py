@@ -70,7 +70,10 @@ from repro.service.datasets import (
 from repro.service.jobs import JobManager, JobState, QueueFullError, RetryPolicy, UnknownJobError
 from repro.service.spec import JobSpec
 from repro.service.store import ANALYSIS_STATES, UnknownAnalysisError, open_stores
-from repro.sweeps import AnalysisNotReady, SweepManager, SweepSpec
+# bound as a module, its names looked up at call time: importing
+# repro.sweeps imports this module (through repro.service.store and the
+# repro.service package), so it may still be initializing here
+import repro.sweeps as sweeps_mod
 
 #: request body cap (64 MiB ≈ 4M points × 2 dims as JSON) — a service
 #: guard, not a scaling claim; bulk ingestion is a later PR's shard API
@@ -130,10 +133,10 @@ class ClusteringServiceServer(ThreadingHTTPServer):
     request_queue_size = 128
 
     def __init__(self, address, handler, manager: JobManager, faults=None,
-                 sweeps: Optional[SweepManager] = None) -> None:
+                 sweeps: Optional[sweeps_mod.SweepManager] = None) -> None:
         super().__init__(address, handler)
         self.manager = manager
-        self.sweeps = sweeps if sweeps is not None else SweepManager(manager)
+        self.sweeps = sweeps if sweeps is not None else sweeps_mod.SweepManager(manager)
         #: wall stamp for display; interval math (uptime, health
         #: windows) uses the monotonic twin below
         self.started_at = time.time()
@@ -346,7 +349,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_error(
                 404, f"unknown analysis: {exc.args[0]}", "unknown_analysis"
             )
-        except AnalysisNotReady as exc:
+        except sweeps_mod.AnalysisNotReady as exc:
             self._send_error(409, str(exc), "conflict")
         except QueueFullError as exc:
             self._send_error(429, str(exc), "queue_full")
@@ -618,7 +621,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _post_analyses(self, parts, query) -> None:
         body = self._read_json()
-        spec = SweepSpec.from_dict(body)
+        spec = sweeps_mod.SweepSpec.from_dict(body)
         record = self.server.sweeps.submit(spec, trace=self.trace_ctx)
         self._send_json(202, record.describe())
 

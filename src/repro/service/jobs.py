@@ -218,8 +218,10 @@ class JobManager:
     metrics:
         The :class:`~repro.obs.metrics.MetricsRegistry` this manager
         feeds (a fresh one per manager when omitted, so two servers in
-        one process never mix counters).  Solver-level metrics stream
-        in live via a per-job observer; the manager's own tallies are
+        one process never mix counters).  It is the ambient registry
+        of every job's solve, so solver-level metrics stream in live;
+        the manager's admission, retry and orphan tallies are counters
+        in it; the result cache's counts and the queue depth are
         mirrored in at every :meth:`sync_metrics` call — which the
         HTTP layer makes before serving ``GET /metrics`` or the
         ``metrics`` block of ``GET /stats``.
@@ -290,12 +292,34 @@ class JobManager:
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         self.faults = FaultPlan.from_spec(faults)
         self.stop_timeout_s = float(stop_timeout_s)
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._job_latency = self.metrics.histogram(
+        self.metrics = m = metrics if metrics is not None else MetricsRegistry()
+        self._job_latency = m.histogram(
             "repro_job_latency_seconds",
             "started-to-terminal wall-clock per executed (non-cached) job",
             labels=("algorithm",),
         )
+        # admission, retry and orphan tallies: the registry counters are
+        # the tallies, incremented where the event happens; stats()
+        # reads them back
+        self._submitted = m.counter(
+            "repro_jobs_submitted_total", "jobs admitted (cache hits included)")
+        self._rejected = m.counter(
+            "repro_jobs_rejected_total", "submissions refused by the bounded queue")
+        self._retries = m.counter(
+            "repro_job_retries_total", "crashed-job retries scheduled")
+        self._jobs_recovered = m.counter(
+            "repro_jobs_recovered_total", "jobs that succeeded after >=1 retry")
+        self._jobs_exhausted = m.counter(
+            "repro_jobs_exhausted_total", "jobs that failed with their retry budget spent")
+        self._orphaned = m.counter(
+            "repro_jobs_orphaned_total",
+            "running jobs whose worker lease expired (worker lost)")
+        self._orphans_requeued = m.counter(
+            "repro_jobs_orphan_requeued_total",
+            "orphaned jobs re-enqueued for another worker")
+        self._orphans_exhausted = m.counter(
+            "repro_jobs_orphan_exhausted_total",
+            "orphaned jobs failed with the requeue budget spent")
 
         #: the cancel event of each job this manager holds a lease on
         #: (set by the heartbeat or an in-process cancel); a job's state
@@ -314,16 +338,8 @@ class JobManager:
         self._resume = threading.Event()
         self._resume.set()
         self._started = False
-        # counters (under _lock; per-manager admission/recovery tallies)
-        self._submitted = 0
-        self._rejected = 0
+        #: submissions per algorithm (under _lock; no registry family)
         self._by_algorithm: Dict[str, int] = {}
-        self._retries = 0
-        self._jobs_recovered = 0
-        self._jobs_exhausted = 0
-        self._orphaned = 0
-        self._orphans_requeued = 0
-        self._orphans_exhausted = 0
         #: recent service-layer fault events (worker_lost / orphan_requeue)
         self.fault_events: "deque[FaultEvent]" = deque(maxlen=256)
         #: wall stamps, for display in stats()
@@ -465,8 +481,8 @@ class JobManager:
             trace_id=job_trace.trace_id,
             traceparent=job_trace.to_traceparent(),
         )
+        self._submitted.inc()
         with self._lock:
-            self._submitted += 1
             self._by_algorithm[spec.algorithm] = (
                 self._by_algorithm.get(spec.algorithm, 0) + 1
             )
@@ -490,8 +506,7 @@ class JobManager:
         try:
             self._wq.push(job.id)
         except QueueFullError:
-            with self._lock:
-                self._rejected += 1
+            self._rejected.inc()
             self._store.delete(job.id)
             _log.warning(
                 "job rejected: queue full",
@@ -576,9 +591,9 @@ class JobManager:
 
         The ``*_total`` keys share names with their ``repro_*``
         Prometheus counterparts on ``GET /metrics`` (one naming scheme,
-        two surfaces — see ``docs/metrics.md``), and
-        :meth:`sync_metrics` mirrors exactly these values into the
-        registry, so the two endpoints can never disagree.
+        two surfaces — see ``docs/metrics.md``): the admission, retry
+        and orphan tallies are read from those registry counters, so
+        the two endpoints can never disagree.
 
         Queue depth and per-state counts come from the shared store, so
         on a durable bundle they are fleet-wide; the admission and
@@ -604,25 +619,25 @@ class JobManager:
                     "backend": self.stores.backend,
                     "state_dir": self.stores.state_dir,
                 },
-                "jobs_submitted_total": self._submitted,
-                "jobs_rejected_total": self._rejected,
+                "jobs_submitted_total": int(self._submitted.value),
+                "jobs_rejected_total": int(self._rejected.value),
                 "jobs_by_state": by_state,
                 "jobs_by_algorithm": dict(self._by_algorithm),
                 "cache": cache,
                 "stuck_workers": [t.name for t in self._stuck_threads],
                 "retry": {
                     "policy": self.retry_policy.to_dict(),
-                    "retries_total": self._retries,
-                    "jobs_recovered_total": self._jobs_recovered,
-                    "jobs_exhausted_total": self._jobs_exhausted,
+                    "retries_total": int(self._retries.value),
+                    "jobs_recovered_total": int(self._jobs_recovered.value),
+                    "jobs_exhausted_total": int(self._jobs_exhausted.value),
                     "last_retry_at": self._last_retry_at,
                 },
                 "orphans": {
                     "lease_s": self.lease_s,
                     "requeue_budget": self.orphan_requeue_budget,
-                    "orphaned_total": self._orphaned,
-                    "requeued_total": self._orphans_requeued,
-                    "exhausted_total": self._orphans_exhausted,
+                    "orphaned_total": int(self._orphaned.value),
+                    "requeued_total": int(self._orphans_requeued.value),
+                    "exhausted_total": int(self._orphans_exhausted.value),
                     "last_recovery_at": self._last_recovery_at,
                     "recent_events": [
                         e.to_dict() for e in list(self.fault_events)[-8:]
@@ -636,46 +651,11 @@ class JobManager:
             return out
 
     def sync_metrics(self) -> MetricsRegistry:
-        """Mirror the manager's authoritative tallies into the registry.
-
-        The queue/cache/retry counters live as plain ints under the
-        manager's lock (they are consulted on admission paths where a
-        registry lookup would be waste); this projects them into the
-        metric families right before a scrape, guaranteeing ``/stats``
-        and ``/metrics`` agree.  Returns the registry for chaining.
-        """
-        stats = self.stats()
+        """Mirror state other components own into the registry: the
+        result cache's counts and the queue depth (called right before
+        every scrape).  Returns the registry for chaining."""
         m = self.metrics
-        m.counter(
-            "repro_jobs_submitted_total", "jobs admitted (cache hits included)"
-        ).set_total(stats["jobs_submitted_total"])
-        m.counter(
-            "repro_jobs_rejected_total", "submissions refused by the bounded queue"
-        ).set_total(stats["jobs_rejected_total"])
-        retry = stats["retry"]
-        m.counter(
-            "repro_job_retries_total", "crashed-job retries scheduled"
-        ).set_total(retry["retries_total"])
-        m.counter(
-            "repro_jobs_recovered_total", "jobs that succeeded after >=1 retry"
-        ).set_total(retry["jobs_recovered_total"])
-        m.counter(
-            "repro_jobs_exhausted_total", "jobs that failed with their retry budget spent"
-        ).set_total(retry["jobs_exhausted_total"])
-        orphans = stats["orphans"]
-        m.counter(
-            "repro_jobs_orphaned_total",
-            "running jobs whose worker lease expired (worker lost)",
-        ).set_total(orphans["orphaned_total"])
-        m.counter(
-            "repro_jobs_orphan_requeued_total",
-            "orphaned jobs re-enqueued for another worker",
-        ).set_total(orphans["requeued_total"])
-        m.counter(
-            "repro_jobs_orphan_exhausted_total",
-            "orphaned jobs failed with the requeue budget spent",
-        ).set_total(orphans["exhausted_total"])
-        cache = stats["cache"]
+        cache = self.cache.stats()
         m.counter("repro_cache_hits_total", "result-cache hits").set_total(
             cache["hits_total"]
         )
@@ -689,7 +669,7 @@ class JobManager:
             cache["entries"]
         )
         m.gauge("repro_queue_depth", "jobs waiting in the bounded queue").set(
-            stats["queue_depth"]
+            self._wq.depth()
         )
         return m
 
@@ -959,8 +939,7 @@ class JobManager:
             )
             return
         if produced is not None and job.attempt > 0:
-            with self._lock:
-                self._jobs_recovered += 1
+            self._jobs_recovered.inc()
         self._ended()
         self._job_latency.labels(spec.algorithm).observe(
             job.finished_at - job.started_at
@@ -1033,12 +1012,12 @@ class JobManager:
                     target=rec.id, attempt=rec.attempt,
                     detail=f"re-enqueued (attempt {rec.attempt})", time=now,
                 ))
+            self._orphaned.inc()
+            if rec.state == JobState.QUEUED.value:
+                self._orphans_requeued.inc()
+            elif rec.state == JobState.FAILED.value:
+                self._orphans_exhausted.inc()
             with self._lock:
-                self._orphaned += 1
-                if rec.state == JobState.QUEUED.value:
-                    self._orphans_requeued += 1
-                elif rec.state == JobState.FAILED.value:
-                    self._orphans_exhausted += 1
                 self.fault_events.extend(events)
                 self._last_recovery_at = now
                 self._last_recovery_mono = time.monotonic()
@@ -1081,8 +1060,7 @@ class JobManager:
         )
         if job.attempt >= budget:
             if budget > 0:
-                with self._lock:
-                    self._jobs_exhausted += 1
+                self._jobs_exhausted.inc()
             return False
         delay = self.retry_policy.delay(job.attempt + 1, key=job.id)
         summary = error.strip().splitlines()[-1] if error.strip() else "unknown error"
@@ -1106,8 +1084,8 @@ class JobManager:
         if requeued.terminal:
             self._ended()
             return True
+        self._retries.inc()
         with self._lock:
-            self._retries += 1
             self._last_retry_at = now
             self._last_retry_mono = time.monotonic()
             timer = threading.Timer(delay, self._requeue, args=(job.id, summary))

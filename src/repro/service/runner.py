@@ -30,7 +30,7 @@ from repro.constants import TheoryConstants
 from repro.core.warm import WarmStart
 from repro.metric.oracle import CountingOracle
 from repro.obs import Observer, Recorder, RunLog
-from repro.obs.metrics import MetricsObserver, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, current_registry, use_registry
 from repro.obs.tracing import TraceContext, current_trace, use_trace
 from repro.service.datasets import Dataset
 from repro.service.spec import JobSpec
@@ -142,10 +142,13 @@ def execute_job(
     :class:`~repro.mpc.remote.RemoteExecutor` when the effective
     backend is ``'remote'`` (other backends ignore it).
 
-    When ``metrics`` is given (the manager passes its own registry), a
-    :class:`~repro.obs.metrics.MetricsObserver` streams the run's
-    rounds, span durations, oracle deltas, and fault events into it —
-    this is what ``GET /metrics`` aggregates across jobs.
+    When ``metrics`` is given (the manager passes its own registry), it
+    is the ambient registry of the solve
+    (:func:`~repro.obs.metrics.use_registry`), so the facade's metrics
+    observer streams the run's solver count and latency, rounds, span
+    durations, oracle deltas, and fault events into it and not into
+    the process-global registry — this is what ``GET /metrics``
+    aggregates across jobs.
 
     ``trace`` is the request's :class:`~repro.obs.tracing.TraceContext`
     (the manager passes the job's); it falls back to the ambient
@@ -186,14 +189,6 @@ def execute_job(
         time.monotonic() + spec.timeout_s if spec.timeout_s is not None else None
     )
     control = cluster.obs.add(_JobControl(cancel_event, deadline))
-    if metrics is not None:
-        cluster.obs.add(MetricsObserver(metrics))
-        # same family names and help as repro.api._observed_solve, so the
-        # service registry renders identically to the process-global one
-        metrics.counter(
-            "repro_solver_runs_total", "facade solver calls started",
-            labels=("algorithm",),
-        ).labels(spec.algorithm).inc()
 
     constants = (
         TheoryConstants.paper() if spec.constants == "paper"
@@ -218,18 +213,13 @@ def execute_job(
             objective=float(warm["objective"]),
         )
 
-    t0 = time.perf_counter()
+    registry = metrics if metrics is not None else current_registry()
     try:
-        with use_trace(ctx):
+        with use_trace(ctx), use_registry(registry):
             result = SOLVERS[spec.algorithm](**kwargs)
     finally:
         cluster.obs.remove(control)
         cluster.executor.shutdown()
-    if metrics is not None:
-        metrics.histogram(
-            "repro_solver_latency_seconds",
-            "wall-clock per completed facade solver call", labels=("algorithm",),
-        ).labels(spec.algorithm).observe(time.perf_counter() - t0)
 
     payload = {
         "algorithm": spec.algorithm,

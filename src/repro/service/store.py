@@ -275,8 +275,6 @@ class JobStore(Protocol):
 
     def get(self, job_id: str) -> JobRecord: ...
 
-    def save(self, record: JobRecord) -> JobRecord: ...
-
     def delete(self, job_id: str) -> None: ...
 
     def list(
@@ -329,8 +327,6 @@ class AnalysisStore(Protocol):
     def create(self, record: AnalysisRecord) -> AnalysisRecord: ...
 
     def get(self, analysis_id: str) -> AnalysisRecord: ...
-
-    def save(self, record: AnalysisRecord) -> AnalysisRecord: ...
 
     def delete(self, analysis_id: str) -> None: ...
 
@@ -451,12 +447,6 @@ class _Lifecycle:
         if record is None:
             raise self.UNKNOWN(record_id)
         return record
-
-    def save(self, record):
-        saved = self.update(record.id, lambda current: record)
-        if saved is None:
-            raise self.UNKNOWN(record.id)
-        return saved
 
     def delete(self, record_id: str) -> None:
         self._remove([record_id])

@@ -51,6 +51,22 @@ class AnalysisNotReady(RuntimeError):
     """The analysis has no report yet (still running)."""
 
 
+#: the manager's tallies are these registry counters; a family is
+#: registered at its first event, so an idle manager adds no series
+_SUBMITTED = "repro_sweeps_submitted_total"
+_COMPLETED = "repro_sweeps_completed_total"
+_CELLS = "repro_sweep_cells_total"
+
+
+def _tallies(registry: MetricsRegistry) -> Dict[str, Dict[str, int]]:
+    """The tally counters registered so far, as ``{name: {label value:
+    count}}`` (label value ``""`` for the unlabeled one)."""
+    return {
+        fam.name: {"".join(values): int(child.value) for values, child in fam.children()}
+        for fam in registry.families() if fam.name in (_SUBMITTED, _COMPLETED, _CELLS)
+    }
+
+
 class SweepManager:
     """Submits, tracks, and finalizes analysis sweeps.
 
@@ -71,9 +87,6 @@ class SweepManager:
         self.poll_s = float(poll_s)
         self.metrics = metrics if metrics is not None else jobs.metrics
         self._lock = threading.Lock()
-        self._submitted = 0
-        self._completed: Dict[str, int] = {}
-        self._cell_outcomes: Dict[str, int] = {}
         self._stop = threading.Event()
         self._sweeper: Optional[threading.Thread] = None
         self._wakeups: Dict[str, threading.Event] = {}
@@ -162,12 +175,8 @@ class SweepManager:
             traceparent=analysis_trace.to_traceparent(),
         )
         created = self.store.create(record)
-        with self._lock:
-            self._submitted += 1
+        self.metrics.counter(_SUBMITTED, "analysis sweeps admitted").inc()
         self._count_cells("submitted", len(grid))
-        self.metrics.counter(
-            "repro_sweeps_submitted_total", "analysis sweeps admitted"
-        ).inc()
         # cache-hit-only sweeps (and tiny grids already drained) finish
         # without a single sweeper tick
         finalized = self._try_finalize(created)
@@ -298,27 +307,20 @@ class SweepManager:
         final = self.store.finalize(record)
         if final is None:
             return None  # another sweeper won the CAS (identical report)
-        with self._lock:
-            self._completed[final.state] = self._completed.get(final.state, 0) + 1
-            event = self._wakeups.get(final.id)
+        self.metrics.counter(
+            _COMPLETED, "analysis sweeps finalized", labels=("state",),
+        ).labels(final.state).inc()
         for cell in report["cells"]:
             self._count_cells(cell["state"], 1)
-        self.metrics.counter(
-            "repro_sweeps_completed_total", "analysis sweeps finalized",
-            labels=("state",),
-        ).labels(final.state).inc()
+        with self._lock:
+            event = self._wakeups.get(final.id)
         if event is not None:
             event.set()
         return final
 
     def _count_cells(self, outcome: str, amount: int) -> None:
-        with self._lock:
-            self._cell_outcomes[outcome] = (
-                self._cell_outcomes.get(outcome, 0) + amount
-            )
         self.metrics.counter(
-            "repro_sweep_cells_total", "sweep cells by outcome",
-            labels=("outcome",),
+            _CELLS, "sweep cells by outcome", labels=("outcome",),
         ).labels(outcome).inc(amount)
 
     # ------------------------------------------------------------------
@@ -328,13 +330,13 @@ class SweepManager:
     def stats(self) -> dict:
         by_state = {s: 0 for s in ("running", "done", "failed")}
         by_state.update(self.store.count_by_state())
-        with self._lock:
-            return {
-                "analyses_submitted_total": self._submitted,
-                "analyses_by_state": by_state,
-                "analyses_completed_total": dict(self._completed),
-                "cells_total": dict(self._cell_outcomes),
-            }
+        tallies = _tallies(self.metrics)
+        return {
+            "analyses_submitted_total": tallies.get(_SUBMITTED, {}).get("", 0),
+            "analyses_by_state": by_state,
+            "analyses_completed_total": tallies.get(_COMPLETED, {}),
+            "cells_total": tallies.get(_CELLS, {}),
+        }
 
     def sync_metrics(self) -> MetricsRegistry:
         """Mirror fleet-wide analysis state into the registry (the

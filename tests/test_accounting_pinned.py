@@ -10,8 +10,8 @@ case:
 * the accounting digest — the number of rounds, each round's ``sent``
   and ``received`` arrays and message count, ``peak_known_points``, the
   result ids and the CountingOracle ledger;
-* the event digest — the :class:`~repro.mpc.trace.MessageTrace` events
-  ``(round_no, src, dst, tag, words)`` in delivery order.
+* the event digest — the message events ``(round_no, src, dst, tag,
+  words)`` a :class:`~repro.obs.record.Recorder` logs, in delivery order.
 
 The values were recorded when every collective still queued one
 ``Message`` per (src, dst) pair, before the simulator moved to
@@ -30,7 +30,7 @@ import repro
 from repro.constants import TheoryConstants
 from repro.core.kbounded_mis import mpc_k_bounded_mis
 from repro.metric.oracle import CountingOracle
-from repro.mpc.trace import MessageTrace
+from repro.obs import Recorder
 
 CASES = [(500, 5), (2000, 16)]
 SOLVERS = ["kcenter", "diversity", "ksupplier", "mis-prune", "mis-light"]
@@ -129,10 +129,11 @@ def event_digest(events) -> str:
 @pytest.mark.parametrize("solver", SOLVERS)
 def test_accounting_and_events_match_pinned(solver, n, m):
     plain = accounting_digest(*solve(solver, n, m))
-    trace = MessageTrace()
-    ids, cluster, oracle = solve(solver, n, m, observer=trace)
+    rec = Recorder()
+    ids, cluster, oracle = solve(solver, n, m, observer=rec)
+    messages = rec.log.messages
     # an attached message observer changes nothing the model reports
     assert accounting_digest(ids, cluster, oracle) == plain
-    assert trace.total_words() == cluster.stats.total_words
-    assert len(trace) == cluster.stats.total_messages
-    assert (plain, event_digest(trace.events)) == PINNED[(solver, n, m)]
+    assert sum(e.words for e in messages) == cluster.stats.total_words
+    assert len(messages) == cluster.stats.total_messages
+    assert (plain, event_digest(messages)) == PINNED[(solver, n, m)]

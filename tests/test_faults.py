@@ -21,7 +21,7 @@ from repro.metric.euclidean import EuclideanMetric
 from repro.metric.oracle import CountingOracle
 from repro.mpc.cluster import MPCCluster
 from repro.mpc.executor import ProcessExecutor, SerialExecutor
-from repro.obs.export import read_jsonl, to_chrome_trace, write_jsonl
+from repro.obs.export import export_run, read_jsonl, to_chrome_trace
 from repro.obs.record import Recorder
 
 
@@ -277,7 +277,7 @@ class TestFaultObservability:
 
     def test_jsonl_round_trip(self, pts, tmp_path):
         log = self.faulted_log(pts)
-        path = write_jsonl(log, tmp_path / "run.jsonl")
+        path = export_run(log, tmp_path / "run.jsonl", "jsonl")
         again = read_jsonl(path)
         assert len(again.faults) == len(log.faults)
         for a, b in zip(again.faults, log.faults):

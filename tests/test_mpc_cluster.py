@@ -165,11 +165,11 @@ class TestScatter:
             cluster.scatter(1, [0, 2], PointBatch(ids), [1, 2])
 
     def test_events_match_one_send_per_slice(self, metric):
-        from repro.mpc.trace import MessageTrace
+        from repro.obs import Recorder
 
         def run(scattered):
             c = MPCCluster(metric, num_machines=4, seed=0)
-            trace = c.obs.add(MessageTrace())
+            rec = c.obs.add(Recorder())
             ids = c.machines[1].local_ids[:5]
             if scattered:
                 c.scatter(1, [0, 2, 3], PointBatch(ids), [2, 0, 3], tag="t")
@@ -178,7 +178,7 @@ class TestScatter:
                     c.send(1, dst, PointBatch(part), tag="t")
             c.step()
             stats = c.stats.rounds_log[-1]
-            return ([(e.round_no, e.src, e.dst, e.tag, e.words) for e in trace.events],
+            return ([(e.round_no, e.src, e.dst, e.tag, e.words) for e in rec.log.messages],
                     stats.sent.tolist(), stats.received.tolist(), stats.messages,
                     c.stats.peak_known_points)
 

@@ -14,8 +14,7 @@ from repro.obs import (
     phase_report,
     read_jsonl,
     to_chrome_trace,
-    write_chrome_trace,
-    write_jsonl,
+    trace_payload,
 )
 from repro.obs.export import ROUND_TID, SPAN_TID
 
@@ -36,7 +35,7 @@ def recorded(metric):
 class TestJsonl:
     def test_round_trip_field_equality(self, recorded, tmp_path):
         _, log, _ = recorded
-        path = write_jsonl(log, tmp_path / "run.jsonl")
+        path = export_run(log, tmp_path / "run.jsonl", "jsonl")
         back = read_jsonl(path)
         assert back.meta == log.meta
         assert len(back.spans) == len(log.spans)
@@ -51,14 +50,14 @@ class TestJsonl:
 
     def test_round_trip_preserves_aggregates(self, recorded, tmp_path):
         _, log, _ = recorded
-        back = read_jsonl(write_jsonl(log, tmp_path / "run.jsonl"))
+        back = read_jsonl(export_run(log, tmp_path / "run.jsonl", "jsonl"))
         assert back.phase_summary() == log.phase_summary()
         assert back.root_totals() == log.root_totals()
         assert back.round_coverage() == log.round_coverage()
 
     def test_lines_are_type_tagged(self, recorded, tmp_path):
         _, log, _ = recorded
-        path = write_jsonl(log, tmp_path / "run.jsonl")
+        path = export_run(log, tmp_path / "run.jsonl", "jsonl")
         types = [json.loads(line)["type"] for line in path.read_text().splitlines()]
         assert types[0] == "meta"
         assert set(types) == {"meta", "span", "round", "message"}
@@ -92,7 +91,7 @@ class TestChromeTrace:
 
     def test_write_is_valid_json(self, recorded, tmp_path):
         _, log, _ = recorded
-        path = write_chrome_trace(log, tmp_path / "trace.json")
+        path = export_run(log, tmp_path / "trace.json", "chrome")
         doc = json.loads(path.read_text())
         assert doc["traceEvents"]
 
@@ -104,6 +103,14 @@ class TestChromeTrace:
         assert read_jsonl(p2).spans
         with pytest.raises(ValueError, match="unknown trace format"):
             export_run(log, tmp_path / "c.bin", fmt="protobuf")
+
+    @pytest.mark.parametrize("fmt", ["chrome", "jsonl"])
+    def test_export_run_writes_the_payload_body(self, recorded, tmp_path, fmt):
+        # one serializer per format: the file is exactly what the job
+        # service serves for the same log
+        _, log, _ = recorded
+        path = export_run(log, tmp_path / f"run.{fmt}", fmt)
+        assert path.read_text() == trace_payload(log, fmt)[1]
 
 
 class TestPhaseReport:

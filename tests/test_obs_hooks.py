@@ -7,8 +7,7 @@ import repro
 from repro.metric.euclidean import EuclideanMetric
 from repro.metric.oracle import CountingOracle
 from repro.mpc.cluster import MPCCluster
-from repro.mpc.trace import MessageTrace
-from repro.obs import Observer
+from repro.obs import Observer, Recorder
 from tests.test_accounting_pinned import PINNED, event_digest, integer_points, solve
 
 
@@ -26,9 +25,6 @@ class _EventLogger(Observer):
     def on_round_start(self, round_no):
         self.calls.append(("round_start", round_no))
 
-    def on_send(self, message):
-        self.calls.append(("send", message.tag))
-
     def on_message(self, event):
         self.calls.append(("message", event.tag))
 
@@ -44,18 +40,11 @@ class TestHookOrdering:
         cluster.send(1, 2, 2.0, tag="b")
         cluster.step()
         kinds = [c[0] for c in logger.calls]
-        # sends happen at queue time, before the barrier
-        assert kinds == ["send", "send", "round_start", "message", "message", "round_end"]
-        assert logger.calls[2] == ("round_start", 1)
+        assert kinds == ["round_start", "message", "message", "round_end"]
+        assert logger.calls[0] == ("round_start", 1)
         assert logger.calls[-1] == ("round_end", 1)
         # delivery preserves outbox order
-        assert [c[1] for c in logger.calls[3:5]] == ["a", "b"]
-
-    def test_on_send_fires_at_queue_time(self, metric):
-        cluster = MPCCluster(metric, 3, seed=0)
-        logger = cluster.obs.add(_EventLogger())
-        cluster.send(0, 1, 1.0, tag="queued")
-        assert logger.calls == [("send", "queued")]  # no step() yet
+        assert [c[1] for c in logger.calls[1:3]] == ["a", "b"]
 
     def test_round_numbers_increment(self, metric):
         cluster = MPCCluster(metric, 3, seed=0)
@@ -110,16 +99,17 @@ class TestHubManagement:
 
 class TestLegacyEquivalence:
     def test_hooked_trace_matches_monkeypatched_totals(self):
-        """The hook-based MessageTrace must see exactly the events one
+        """A Recorder's message log must hold exactly the events one
         ``send()`` per (src, dst) pair gave before the collectives became
         array-native (the digest pinned in ``test_accounting_pinned``),
         and each event must match an envelope a caller reads back from
         ``step()``, with its words recomputed from the payload."""
         # run 1: the supported hook API
-        trace = MessageTrace()
-        ids, cluster1, _ = solve("kcenter", 500, 5, observer=trace)
-        assert event_digest(trace.events) == PINNED[("kcenter", 500, 5)][1]
-        assert trace.total_words() == cluster1.stats.total_words
+        rec = Recorder()
+        ids, cluster1, _ = solve("kcenter", 500, 5, observer=rec)
+        log = rec.log
+        assert event_digest(log.messages) == PINNED[("kcenter", 500, 5)][1]
+        assert sum(log.words_by_round().values()) == cluster1.stats.total_words
 
         # run 2: same seed, no observer; every inbox each step() returns
         # is read back
@@ -141,8 +131,8 @@ class TestLegacyEquivalence:
         res2 = repro.solve_kcenter(cluster=cluster2, k=8, eps=0.2)
 
         assert np.array_equal(ids, res2.centers)
-        hooked = [(e.round_no, e.src, e.dst, e.tag, e.words) for e in trace.events]
+        hooked = [(e.round_no, e.src, e.dst, e.tag, e.words) for e in log.messages]
         assert sorted(hooked) == sorted(delivered)
         # a gather reaches the central machine from every other machine
         for src in range(1, 5):
-            assert [e.tag for e in trace.messages_between(src, 0)].count("kcenter/coreset") == 1
+            assert [e.tag for e in log.messages_between(src, 0)].count("kcenter/coreset") == 1

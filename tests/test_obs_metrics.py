@@ -243,3 +243,26 @@ class TestFacadeMetrics:
         snap = metrics_snapshot()["counters"]
         assert snap["repro_solver_runs_total"]['algorithm="kcenter"'] == 2
         assert snap["repro_mpc_rounds_total"][""] > rounds_after_first
+
+    def test_service_job_feeds_only_its_manager_registry(self):
+        """A job's solve feeds the manager's registry, once, and leaves
+        the process-global registry as it was."""
+        from repro.obs import default_registry
+        from repro.service import DatasetRegistry, JobManager, JobSpec
+
+        datasets = DatasetRegistry()
+        ds = datasets.register_points(np.random.default_rng(0).normal(size=(300, 2)))
+        manager = JobManager(datasets, workers=1).start()
+        before = default_registry().snapshot()
+        try:
+            job = manager.submit(JobSpec(algorithm="kcenter", dataset=ds.id, k=4,
+                                         eps=0.3, machines=3, seed=1))
+            job = manager.wait(job.id, timeout=120)
+        finally:
+            manager.stop()
+        assert job.state == "done"
+        assert default_registry().snapshot() == before
+        text = manager.sync_metrics().render_prometheus()
+        assert 'repro_solver_runs_total{algorithm="kcenter"} 1\n' in text
+        counters = manager.metrics.snapshot()["counters"]
+        assert counters["repro_mpc_rounds_total"][""] == job.result["mpc_stats"]["rounds"]

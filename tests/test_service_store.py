@@ -75,20 +75,6 @@ class TestJobStoreContract:
         assert nums == sorted(nums)
         assert len(set(nums)) == 3
 
-    def test_save_bumps_version(self, jobs):
-        rec = _record(jobs)
-        v0 = rec.version
-        rec.state = "failed"
-        rec.error = "boom"
-        saved = jobs.save(rec)
-        assert saved.version > v0
-        assert jobs.get(rec.id).error == "boom"
-
-    def test_save_unknown_raises(self, jobs):
-        rec = JobRecord(id="job-424242", spec={})
-        with pytest.raises(UnknownJobError):
-            jobs.save(rec)
-
     def test_delete_is_idempotent(self, jobs):
         rec = _record(jobs)
         jobs.delete(rec.id)

@@ -231,10 +231,10 @@ class TestProcessBackendMerging:
         assert log_s.exec_spans == [] and log_p.exec_spans != []
 
     def test_jsonl_round_trip_preserves_exec_spans(self, points, tmp_path):
-        from repro.obs.export import write_jsonl
+        from repro.obs.export import export_run
 
         _, log = _traced_run(points, "process")
-        path = write_jsonl(log, tmp_path / "run.jsonl")
+        path = export_run(log, tmp_path / "run.jsonl", "jsonl")
         back = read_jsonl(path)
         assert [e.to_dict() for e in back.exec_spans] == [
             e.to_dict() for e in log.exec_spans
